@@ -36,6 +36,7 @@
 #include "core/experiment.h"
 #include "runtime/experiment_cache.h"
 #include "runtime/thread_pool.h"
+#include "support/scalar_characterization.h"
 #include "workload/registry.h"
 
 namespace {
@@ -217,9 +218,10 @@ int main()
     // of the hot-path vectorization: the batched path must be bit-identical
     // AND >= 1.25x faster (ratio <= 0.8); the as-measured design target is
     // 1.5x, recorded alongside.
-    core::characterization_config scalar_cfg = config.characterization;
-    scalar_cfg.batched = false;
-    const core::characterizer chars_scalar(lib, vm, scalar_cfg);
+    const auto scalar_characterize = [&](const core::program_artifacts& program) {
+        return test_support::scalar_characterize(lib, vm, config.characterization, program,
+                                                 circuit::pipe_stage::simple_alu);
+    };
     constexpr int kKernelRounds = 2;
     double scalar_best = 0.0;
     double batched_best = 0.0;
@@ -234,8 +236,7 @@ int main()
             double scalar_s = 0.0;
             double batched_s = 0.0;
             const auto run_scalar = [&] {
-                stage_serial =
-                    chars_scalar.characterize(artifacts, circuit::pipe_stage::simple_alu);
+                stage_serial = scalar_characterize(artifacts);
             };
             const auto run_batched = [&] {
                 batched_result =
@@ -357,8 +358,7 @@ int main()
             double scalar_s = 0.0;
             double batched_s = 0.0;
             const auto run_scalar = [&] {
-                ll_scalar = chars_scalar.characterize(ll_artifacts,
-                                                      circuit::pipe_stage::simple_alu);
+                ll_scalar = scalar_characterize(ll_artifacts);
             };
             const auto run_batched = [&] {
                 ll_batched =

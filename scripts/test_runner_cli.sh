@@ -6,8 +6,9 @@
 # one-line usage error on stderr and exit 2 -- never a crash or a silent
 # default) and the registry surface: --list-benchmarks enumerates the ten
 # SPLASH-2 profiles plus the scenario families, scenario sweeps run through
-# the full three-tier cache, and a warm re-run is byte-identical with zero
-# program-tier computes.
+# the full three-tier cache, a warm re-run is byte-identical with zero
+# program-tier computes, and a killed store-backed sweep resumes to the
+# same bytes.
 set -u
 
 RUNNER=${1:?usage: test_runner_cli.sh <synts_runner>}
@@ -81,12 +82,8 @@ expect_usage_error sample_zero --sample=0
 expect_usage_error sample_garbage --sample=abc
 expect_usage_error sample_empty_file --sample=100:
 expect_usage_error stall_ms_zero --stall-ms=0
-# --speculate: zero in-flight speculations is a typo (the bare flag means
-# 1), junk must not parse, and --merge computes nothing to speculate on.
-expect_usage_error speculate_zero --speculate=0
-expect_usage_error speculate_garbage --speculate=abc
-expect_usage_error speculate_trailing --speculate=2x
-expect_usage_error speculate_with_merge --store=ignored --merge --speculate
+# The retired --speculate flag is an unknown flag like any other.
+expect_usage_error speculate_removed --speculate
 
 # --list-benchmarks: the ten SPLASH-2 names plus the scenario families.
 LIST="$WORK/list.txt"
@@ -146,31 +143,56 @@ else
     failures=$((failures + 1))
 fi
 
-# --speculate must never change a single output byte: the same ladder
-# sweep with and without idle-worker speculation emits identical JSON
-# (modulo the volatile meta line), and the speculated run reports its
-# spec stats on stdout.
-SPEC_DEFS="--define=lock_ladder:name=cli_spec_1,base_contention=0.3 \
-  --define=lock_ladder:name=cli_spec_2,base_contention=0.5"
-SPEC_ARGS="--benchmarks=cli_spec_1,cli_spec_2 --stages=simple_alu --policies=nominal,synts_offline"
-PLAIN="$WORK/plain.json"
-SPECULATED="$WORK/speculated.json"
-SPEC_OUT="$WORK/speculated.out"
-if "$RUNNER" $SPEC_DEFS $SPEC_ARGS --quiet --json="$PLAIN" >/dev/null 2>&1 &&
-   "$RUNNER" $SPEC_DEFS $SPEC_ARGS --speculate=2 --json="$SPECULATED" >"$SPEC_OUT" 2>&1; then
-    ok=1
-    if ! cmp -s <(grep -v '"meta"' "$PLAIN") <(grep -v '"meta"' "$SPECULATED"); then
-        echo "FAIL speculate_identity: speculated JSON differs from plain run" >&2
-        ok=0
+# Kill and resume: a store-backed ladder sweep killed with SIGKILL as soon
+# as its first cell checkpoint lands leaves a store it can resume from. The
+# resumed JSON is byte-identical (modulo the meta line) to an uninterrupted
+# run, and when the kill landed before the sweep finished the resume must
+# have restored at least one checkpointed cell. The wait has no deadline:
+# it ends when a cell file appears or the runner exits on its own, so the
+# verdict does not depend on host speed (a runner that finished first
+# still gets the identity check).
+KR_SPEC="--benchmarks=lock_ladder,pipeline,graph_walk --stages=all --policies=all --ladder=default"
+KR_STORE="$WORK/kill-store"
+KR_REFERENCE="$WORK/kill_reference.json"
+KR_RESUMED="$WORK/kill_resumed.json"
+KR_STATS="$WORK/kill_stats.json"
+if "$RUNNER" $KR_SPEC --quiet --json="$KR_REFERENCE" >/dev/null 2>&1; then
+    "$RUNNER" $KR_SPEC --store="$KR_STORE" --workers=1 --quiet >/dev/null 2>&1 &
+    kr_pid=$!
+    first_cell() {
+        find "$KR_STORE" -path '*/cell/*' -name '*.bin' -type f 2>/dev/null | head -n1
+    }
+    while kill -0 "$kr_pid" 2>/dev/null && [ -z "$(first_cell)" ]; do
+        sleep 0.02
+    done
+    kill -9 "$kr_pid" 2>/dev/null
+    wait "$kr_pid" 2>/dev/null
+    kr_rc=$?  # 137 == the SIGKILL landed mid-sweep; 0 == it finished first
+    if "$RUNNER" $KR_SPEC --store="$KR_STORE" --resume --quiet --json="$KR_RESUMED" \
+            --cache-stats=json >"$KR_STATS" 2>&1; then
+        ok=1
+        if ! cmp -s <(grep -v '"meta"' "$KR_REFERENCE") <(grep -v '"meta"' "$KR_RESUMED"); then
+            echo "FAIL kill_resume: resumed JSON differs from an uninterrupted run" >&2
+            ok=0
+        fi
+        loaded=$(grep -o '"checkpoint": {"hits": [0-9]*' "$KR_STATS" | grep -o '[0-9]*$')
+        if [ "$kr_rc" -ne 0 ] && [ "${loaded:-0}" -lt 1 ]; then
+            echo "FAIL kill_resume: killed run (rc=$kr_rc) left no resumable cell:" >&2
+            cat "$KR_STATS" >&2
+            ok=0
+        fi
+        if [ "$ok" -eq 1 ]; then
+            echo "ok kill_resume_byte_identical (first run rc=$kr_rc, cells loaded=${loaded:-0})"
+        else
+            failures=$((failures + 1))
+        fi
+    else
+        echo "FAIL kill_resume: resumed run exited non-zero" >&2
+        cat "$KR_STATS" >&2
+        failures=$((failures + 1))
     fi
-    if ! grep -q '^speculation: .* launched, .* hits' "$SPEC_OUT"; then
-        echo "FAIL speculate_identity: no speculation stats line on stdout:" >&2
-        tail -n5 "$SPEC_OUT" >&2
-        ok=0
-    fi
-    if [ "$ok" -eq 1 ]; then echo "ok speculate_byte_identical"; else failures=$((failures + 1)); fi
 else
-    echo "FAIL speculate_identity: a runner invocation exited non-zero" >&2
+    echo "FAIL kill_resume: reference run exited non-zero" >&2
     failures=$((failures + 1))
 fi
 

@@ -15,6 +15,26 @@
 
 namespace synts::core {
 
+namespace {
+
+/// Sentinel for "no driving op precedes the chunk" (fresh sim state).
+constexpr std::size_t no_driving_op = static_cast<std::size_t>(-1);
+
+/// Index of the last op before `end` in `trace` that drives the stage, or
+/// no_driving_op when none does.
+std::size_t last_driving_op(const arch::thread_trace& trace, const arch::stage_tap& tap,
+                            std::size_t end) noexcept
+{
+    for (std::size_t n = end; n > 0; --n) {
+        if (tap.drives_stage(trace.ops[n - 1])) {
+            return n - 1;
+        }
+    }
+    return no_driving_op;
+}
+
+} // namespace
+
 empirical_error_model stage_characterization::make_error_model(std::size_t thread,
                                                                std::size_t interval) const
 {
@@ -29,70 +49,12 @@ characterizer::characterizer(const circuit::cell_library& lib,
 {
 }
 
-interval_characterization characterizer::characterize_interval(
-    const circuit::stage_netlist& stage_nl, const arch::stage_tap& tap,
-    const std::shared_ptr<const circuit::timing_corner_tables>& tables,
-    const arch::thread_trace& trace, std::size_t interval,
-    std::size_t warmup_op) const
-{
-    // One simulator per cell: the stage's datapath state is private to the
-    // core the thread runs on, and a settled netlist's node values are a
-    // pure function of the last applied vector. Replaying the last driving
-    // vector of the preceding intervals -- `warmup_op`, precomputed by
-    // characterize() -- with its delays discarded therefore reproduces
-    // exactly the state a single serial walk of the whole thread would
-    // carry into this interval: cells stay bit-identical to serial while
-    // running embarrassingly parallel. The shared corner tables keep
-    // per-cell construction cheap (no STA).
-    const std::size_t corner_count = tables->vdd.size();
-    const std::vector<double>& tnom_ps = tables->nominal_period_ps;
-    circuit::dynamic_timing_simulator sim(stage_nl.nl, tables);
-    const auto bits_storage = std::make_unique<bool[]>(tap.width());
-    const std::span<bool> bits(bits_storage.get(), tap.width());
-    std::vector<double> corner_delays(corner_count);
-
-    if (warmup_op != no_warmup_op) {
-        if (!tap.extract(trace.ops[warmup_op], bits)) {
-            throw std::logic_error("characterizer: warm-up op does not drive the stage");
-        }
-        sim.step(std::span<const bool>(bits_storage.get(), tap.width()), corner_delays);
-    }
-
-    interval_characterization data;
-    data.delay_histograms.reserve(corner_count);
-    for (std::size_t c = 0; c < corner_count; ++c) {
-        data.delay_histograms.emplace_back(
-            0.0, tnom_ps[c] * config_.histogram_headroom, config_.histogram_bins);
-    }
-
-    const auto ops = trace.interval(interval);
-    data.instruction_count = ops.size();
-    for (std::size_t n = 0; n < ops.size(); ++n) {
-        if (!tap.extract(ops[n], bits)) {
-            continue;
-        }
-        sim.step(std::span<const bool>(bits_storage.get(), tap.width()), corner_delays);
-
-        ++data.vector_count;
-        for (std::size_t c = 0; c < corner_count; ++c) {
-            data.delay_histograms[c].add(corner_delays[c]);
-        }
-        if (config_.keep_sampling_trace) {
-            data.sampling_delays_ps.push_back(static_cast<float>(corner_delays[0]));
-            data.sampling_instr_index.push_back(static_cast<std::uint32_t>(n));
-        }
-    }
-    return data;
-}
-
 stage_characterization characterizer::characterize(const program_artifacts& program,
                                                    circuit::pipe_stage stage,
                                                    const util::parallel_for_fn& parallel,
-                                                   std::size_t worker_hint,
-                                                   const util::cancel_token& cancel) const
+                                                   std::size_t worker_hint) const
 {
     program.validate();
-    cancel.throw_if_cancelled();
 
     obs::metrics_registry& registry = obs::metrics_registry::global();
     obs::counter& cells_counter = registry.counter_at("characterize.cells");
@@ -127,63 +89,14 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
         intervals.resize(interval_count);
     }
 
-    // Pre-pass: each interval's replay vector is the last op *before* it
-    // that drives the stage. One forward scan per thread finds them all;
-    // a per-cell backward scan would re-walk the whole preceding history
-    // per interval -- quadratic exactly when the stage fires rarely and
-    // there is little simulation work to amortize it. drives_stage alone
-    // decides -- no bit extraction on this scan.
-    std::vector<std::vector<std::size_t>> warmup_ops(
-        thread_count, std::vector<std::size_t>(interval_count, no_warmup_op));
-    util::for_each_index(parallel, thread_count, [&](std::size_t t) {
-        cancel.throw_if_cancelled();
-        const arch::thread_trace& trace = program.trace.threads[t];
-        std::size_t last_driving = no_warmup_op;
-        for (std::size_t k = 0; k < interval_count; ++k) {
-            warmup_ops[t][k] = last_driving;
-            const std::size_t begin = k == 0 ? 0 : trace.barrier_points[k - 1];
-            for (std::size_t n = begin; n < trace.barrier_points[k]; ++n) {
-                if (tap.drives_stage(trace.ops[n])) {
-                    last_driving = n;
-                }
-            }
-        }
-    });
-
-    if (!config_.batched) {
-        // Scalar reference walk: every (thread, interval) cell is
-        // independent (see characterize_interval) and lands in its
-        // pre-assigned slot, so the merge order is deterministic
-        // regardless of schedule.
-        util::for_each_index(parallel, thread_count * interval_count,
-                             [&](std::size_t cell) {
-                                 cancel.throw_if_cancelled();
-                                 const std::size_t t = cell / interval_count;
-                                 const std::size_t k = cell % interval_count;
-                                 const obs::monitored_timer timer(
-                                     cell_ns, slow_cells, [stage, t, k] {
-                                         return std::string("stage=") +
-                                                circuit::pipe_stage_name(stage) +
-                                                " thread=" + std::to_string(t) +
-                                                " interval=" + std::to_string(k);
-                                     });
-                                 result.threads[t][k] = characterize_interval(
-                                     stage_nl, tap, tables, program.trace.threads[t], k,
-                                     warmup_ops[t][k]);
-                                 cells_counter.add(1);
-                                 vectors_counter.add(result.threads[t][k].vector_count);
-                             });
-        return result;
-    }
-
-    // Batched mode: the task grain is a contiguous run of intervals of one
-    // thread. Within a chunk the simulator CHAINS -- the carried state
-    // entering interval k is the settled last driving vector before k,
-    // exactly what the scalar path's warm-up replay reconstructs -- so
-    // chunking eliminates all warm-up work except one step at chunk entry.
-    // Chunk count scales with the worker pool: enough chunks to load every
-    // worker (with slack for imbalance), never more. At one worker this is
-    // ONE chunk per thread, i.e. the plain serial walk with zero replay.
+    // The task grain is a contiguous run of intervals of one thread. Within
+    // a chunk the simulator CHAINS -- the carried state entering interval k
+    // is the settled last driving vector before k, exactly what a per-cell
+    // warm-up replay reconstructs -- so chunking eliminates all warm-up
+    // work except one step at chunk entry. Chunk count scales with the
+    // worker pool: enough chunks to load every worker (with slack for
+    // imbalance), never more. At one worker this is ONE chunk per thread,
+    // i.e. the plain serial walk with zero replay.
     std::size_t workers = worker_hint;
     if (workers == 0) {
         workers = parallel ? std::max<std::size_t>(std::thread::hardware_concurrency(), 1)
@@ -220,7 +133,6 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
     constexpr std::size_t lanes_max = circuit::dynamic_timing_simulator::max_batch_lanes;
 
     util::for_each_index(parallel, chunks.size(), [&](std::size_t ci) {
-        cancel.throw_if_cancelled(); // chunk entry
         const chunk& ch = chunks[ci];
         const arch::thread_trace& trace = program.trace.threads[ch.thread];
 
@@ -231,9 +143,13 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
 
         // Chunk entry: replay the last driving vector of the preceding
         // history (delays discarded), reproducing the carried state a
-        // serial walk would bring here.
-        const std::size_t warmup_op = warmup_ops[ch.thread][ch.begin_interval];
-        if (warmup_op != no_warmup_op) {
+        // serial walk would bring here. The backward scan stops at the
+        // first driving op, so it is short unless the stage almost never
+        // fires -- and then there is little simulation to amortize anyway.
+        const std::size_t chunk_begin_op =
+            ch.begin_interval == 0 ? 0 : trace.barrier_points[ch.begin_interval - 1];
+        const std::size_t warmup_op = last_driving_op(trace, tap, chunk_begin_op);
+        if (warmup_op != no_driving_op) {
             const auto bits_storage = std::make_unique<bool[]>(tap.width());
             const std::span<bool> bits(bits_storage.get(), tap.width());
             if (!tap.extract(trace.ops[warmup_op], bits)) {
@@ -245,10 +161,6 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
         }
 
         for (std::size_t k = ch.begin_interval; k < ch.end_interval; ++k) {
-            // Per-interval poll: bounds cancel latency by one interval of
-            // simulation even when a chunk spans the whole trace (the
-            // 1-worker degenerate partition).
-            cancel.throw_if_cancelled();
             const obs::monitored_timer timer(
                 cell_ns, slow_cells, [stage, &ch, k] {
                     return std::string("stage=") + circuit::pipe_stage_name(stage) +
@@ -300,13 +212,6 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
         }
     });
     return result;
-}
-
-stage_characterization characterizer::characterize(const arch::program_trace& program,
-                                                   circuit::pipe_stage stage) const
-{
-    const program_characterizer profiler(config_.core);
-    return characterize(profiler.characterize_trace(program), stage);
 }
 
 } // namespace synts::core

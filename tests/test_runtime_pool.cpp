@@ -1,22 +1,27 @@
 // Tests for runtime/thread_pool: correctness under contention, exception
 // propagation through futures, parallel_for vs serial equivalence, and
 // help-while-waiting (no deadlock from nested parallelism, even on a
-// single-worker pool).
+// single-worker pool), and the shutdown gate (a late external submit throws
+// pool_stopped).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <future>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "runtime/thread_pool.h"
 
 namespace {
 
+namespace runtime = synts::runtime;
 using synts::runtime::thread_pool;
 
 TEST(runtime_pool, worker_count_defaults_to_at_least_one)
@@ -224,6 +229,32 @@ TEST(runtime_pool, destruction_with_mixed_pending_and_running_work_loses_nothing
     }
     executed = done.load();
     EXPECT_EQ(executed, static_cast<std::uint64_t>(n));
+}
+
+TEST(runtime_pool, external_submit_after_shutdown_throws_pool_stopped)
+{
+    // Satellite pin: destruction began + external submit == deterministic
+    // pool_stopped, never a silent drop or UB. A gated task holds the
+    // drain so the destructor is reliably mid-shutdown while we probe.
+    std::promise<void> gate;
+    std::shared_future<void> open = gate.get_future().share();
+    auto pool = std::make_unique<thread_pool>(1);
+    thread_pool* raw = pool.get();
+    (void)raw->submit([open] { open.get(); });
+
+    std::thread destroyer([p = std::move(pool)]() mutable { p.reset(); });
+    bool caught = false;
+    for (int i = 0; i < 10000 && !caught; ++i) {
+        try {
+            (void)raw->submit([] {});
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        } catch (const runtime::pool_stopped&) {
+            caught = true;
+        }
+    }
+    gate.set_value();
+    destroyer.join();
+    EXPECT_TRUE(caught);
 }
 
 } // namespace
