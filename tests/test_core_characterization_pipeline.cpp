@@ -1,5 +1,6 @@
 // Tests for the staged characterization pipeline: program_characterizer
-// artifacts, the artifact-consuming characterizer, and the
+// artifacts, the artifact-consuming characterizer (fed by generated or
+// externally supplied traces), and the
 // bit-identity of every parallel phase (trace generation, architectural
 // profiling, per-(thread, interval) timing simulation) against the serial
 // path. The identity checks are exact -- EXPECT_EQ on doubles/floats -- by
@@ -130,6 +131,25 @@ TEST(characterization_pipeline, profiler_parallel_is_bit_identical)
                       parallel[t][k].branch_misprediction_rate);
         }
     }
+}
+
+TEST(characterization_pipeline, artifact_overload_matches_legacy_trace_overload)
+{
+    const core::program_characterizer program_chars;
+    const core::program_artifacts artifacts =
+        program_chars.characterize(kBenchmark, kThreads, kSeed);
+
+    const auto lib = circuit::cell_library::standard_22nm();
+    const circuit::voltage_model vm(0.04);
+    const core::characterizer chars(lib, vm, {});
+
+    // The former program_trace overload was characterize_trace followed by
+    // the artifact overload; an externally supplied trace must still
+    // characterize exactly like the workload-generated artifacts.
+    const core::stage_characterization staged = chars.characterize(artifacts, kStage);
+    const core::stage_characterization legacy =
+        chars.characterize(program_chars.characterize_trace(artifacts.trace), kStage);
+    expect_same_characterization(staged, legacy);
 }
 
 TEST(characterization_pipeline, parallel_characterization_is_bit_identical)

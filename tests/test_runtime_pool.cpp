@@ -231,9 +231,11 @@ TEST(runtime_pool, destruction_with_mixed_pending_and_running_work_loses_nothing
     EXPECT_EQ(executed, static_cast<std::uint64_t>(n));
 }
 
-TEST(runtime_pool, external_submit_after_shutdown_throws_pool_stopped)
+// Keeps the runtime_cancel suite name of the file it moved from, so the
+// test's id is stable; it exercises plain submit, not cancellation.
+TEST(runtime_cancel, external_submit_after_shutdown_throws_pool_stopped)
 {
-    // Satellite pin: destruction began + external submit == deterministic
+    // Pin: destruction began + external submit == deterministic
     // pool_stopped, never a silent drop or UB. A gated task holds the
     // drain so the destructor is reliably mid-shutdown while we probe.
     std::promise<void> gate;
