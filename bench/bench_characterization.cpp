@@ -409,14 +409,15 @@ int main()
     bool cache_shared_ok = true;
     const auto run_staged = [&] {
         runtime::experiment_cache cache; // fresh per round: time the miss path
+        runtime::cache_traffic traffic;
         for (std::size_t s = 0; s < circuit::pipe_stage_count; ++s) {
             const auto experiment = cache.get_or_create(
-                kBenchmark, static_cast<circuit::pipe_stage>(s), config, &pool);
+                kBenchmark, static_cast<circuit::pipe_stage>(s), config, &pool, &traffic);
             (void)experiment->interval_count();
         }
-        cache_shared_ok = cache_shared_ok && cache.program_miss_count() == 1 &&
-                          cache.program_compute_count() == 1 &&
-                          cache.miss_count() == circuit::pipe_stage_count;
+        cache_shared_ok = cache_shared_ok && traffic.program.misses.load() == 1 &&
+                          traffic.program_computes.load() == 1 &&
+                          traffic.stage.misses.load() == circuit::pipe_stage_count;
     };
     constexpr int kRounds = 2;
     double naive_best = 0.0;

@@ -63,13 +63,11 @@ int main()
 
     const std::vector<std::size_t> worker_counts = {1, 2, 4, 8};
     std::vector<runtime::sweep_result> results;
-    std::vector<std::uint64_t> steals;
     for (const std::size_t workers : worker_counts) {
         runtime::thread_pool pool(workers);
         runtime::experiment_cache cache; // fresh: no reuse across runs
         runtime::sweep_scheduler scheduler(pool, cache);
         results.push_back(scheduler.run(spec));
-        steals.push_back(pool.steal_count());
     }
 
     // Bit-identity: scheduler cells vs the serial path, exact ==.
@@ -87,8 +85,8 @@ int main()
     }
 
     const double base_seconds = results.front().wall_seconds;
-    util::text_table table({"workers", "wall (s)", "speedup vs 1", "efficiency (%)",
-                            "steals", "characterizations"});
+    util::text_table table(
+        {"workers", "wall (s)", "speedup vs 1", "efficiency (%)", "characterizations"});
     for (std::size_t i = 0; i < worker_counts.size(); ++i) {
         table.begin_row();
         table.cell(static_cast<long long>(worker_counts[i]));
@@ -97,7 +95,6 @@ int main()
         table.cell(100.0 * base_seconds / results[i].wall_seconds /
                        static_cast<double>(worker_counts[i]),
                    1);
-        table.cell(static_cast<long long>(steals[i]));
         table.cell(static_cast<long long>(results[i].cache_misses));
     }
     std::printf("%s\n", table.render().c_str());

@@ -14,11 +14,11 @@ be):
                      src/. annotated_mutex is not a std::mutex, so waits
                      must go through std::condition_variable_any +
                      util::cv_mutex_lock.
-  counter-diff    -- differencing two reads of a live global counter
-                     (hit_count() - ..., misses() - ...) in stat code. Live
-                     counters move concurrently between the two reads;
-                     snapshot once instead (the PR-6 telemetry registry
-                     exists for exactly this).
+  counter-diff    -- differencing two reads of a live counter in src/:
+                     obs::counter::value() - ... or sampler::tick_count()
+                     - .... Live counters move concurrently between the
+                     two reads; attribute through a caller's sink
+                     (runtime::cache_traffic) or snapshot once instead.
   unchecked-size  -- `payload.size() - N` arithmetic in src/storage/ decode
                      paths. size() is unsigned; a short payload wraps to a
                      huge length instead of failing the bounds check. Compare
@@ -100,12 +100,10 @@ RULES = [
     ),
     (
         "counter-diff",
-        re.compile(
-            r"\b(hit_count|miss_count|hits|misses|launched|cancelled|"
-            r"executed_count|steal_count|tick_count|drop_count)\(\)\s*-"
-        ),
+        # `-(?!>)` skips `value()->member`.
+        re.compile(r"\b(value|tick_count)\(\)\s*-(?!>)"),
         "differencing live counter reads races concurrent movement; "
-        "snapshot once via the obs registry instead",
+        "attribute through a caller's sink or snapshot once instead",
         _in_src,
     ),
     (

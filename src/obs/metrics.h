@@ -1,13 +1,15 @@
 // metrics.h -- process-wide metrics registry: named counters, gauges, and
 // log-bucketed latency histograms.
 //
-// PR 5's `cache_traffic` sink proved that bespoke counter plumbing does not
-// scale past two call sites: every new observable meant a new struct field,
-// a new accessor, and a new column in every renderer. This registry is the
-// one place an instrument is declared (a dotted name: `pool.steals`,
-// `cache.tier2.compute_ns`, `store.bytes_read`) and the one place a
-// consumer reads it back (`snapshot()` -> deterministic name order ->
-// JSON/CSV/table emitters in render_metrics).
+// The registry holds PROCESS TOTALS. It is the one place an instrument is
+// declared (a dotted name: `pool.steals`, `cache.tier2.compute_ns`,
+// `store.bytes_read`) and the one place a consumer reads totals back
+// (`snapshot()` -> deterministic name order -> JSON/CSV/table emitters in
+// render_metrics). Per-caller attribution is not its job: totals of two
+// concurrent callers interleave and cannot be separated by differencing.
+// A caller that needs its own share passes a sink (runtime::cache_traffic)
+// to the call, which bumps the registry counter and the sink -- and no
+// other counter.
 //
 // Hot-path contract:
 //
@@ -16,10 +18,9 @@
 //     safe from any thread, TSan-clean. Handles returned by the registry
 //     are stable for the registry's lifetime, so instrumented code resolves
 //     the name ONCE (at construction) and pays only the atomic op per event;
-//   * counters and gauges are always on: they mirror bookkeeping the
-//     runtime already paid for (the cache's hit/miss atomics, the pool's
-//     steal count), so gating them would buy nothing and would desync the
-//     registry from the legacy accessors that tests pin;
+//   * counters and gauges are always on: each is the only process-wide
+//     count of its event (the cache, pool and store keep no counters of
+//     their own), so gating them would lose the count outright;
 //   * anything that needs a CLOCK READ (latency histograms, spans) is gated
 //     behind the process-wide `enabled()` flag: a single relaxed atomic
 //     bool load on a branch-predictable fast path. scoped_timer reads no

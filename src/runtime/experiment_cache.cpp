@@ -48,11 +48,11 @@ experiment_cache::program_ptr try_load_program(const storage::artifact_store& st
 
 experiment_cache::experiment_cache(std::size_t shard_count)
     : stage_tier_(shard_count,
-                  &obs::metrics_registry::global().counter_at("cache.tier1.hits"),
-                  &obs::metrics_registry::global().counter_at("cache.tier1.misses")),
+                  obs::metrics_registry::global().counter_at("cache.tier1.hits"),
+                  obs::metrics_registry::global().counter_at("cache.tier1.misses")),
       program_tier_(shard_count,
-                    &obs::metrics_registry::global().counter_at("cache.tier2.hits"),
-                    &obs::metrics_registry::global().counter_at("cache.tier2.misses")),
+                    obs::metrics_registry::global().counter_at("cache.tier2.hits"),
+                    obs::metrics_registry::global().counter_at("cache.tier2.misses")),
       obs_disk_hits_(&obs::metrics_registry::global().counter_at("cache.tier3.hits")),
       obs_disk_misses_(&obs::metrics_registry::global().counter_at("cache.tier3.misses")),
       obs_computes_(&obs::metrics_registry::global().counter_at("cache.tier2.computes")),
@@ -97,16 +97,15 @@ experiment_cache::get_or_create_program(const workload::workload_key& workload,
     // miss, so its disk probes and computes are charged to that caller's
     // sink; concurrent callers of the same key block on the shared future
     // and record only a hit.
-    const auto count = [traffic](std::atomic<std::uint64_t>& global,
+    const auto count = [traffic](obs::counter& global,
                                  std::atomic<std::uint64_t> cache_traffic::* local) {
-        global.fetch_add(1, std::memory_order_relaxed);
+        global.add(1);
         if (traffic != nullptr) {
             (traffic->*local).fetch_add(1, std::memory_order_relaxed);
         }
     };
     const auto compute = [&]() -> program_ptr {
-        count(program_computes_, &cache_traffic::program_computes);
-        obs_computes_->add(1);
+        count(*obs_computes_, &cache_traffic::program_computes);
         const obs::trace_span span(obs::trace_recorder::global(),
                                    [&] { return "cache.compute:" + workload.name; });
         const obs::scoped_timer timer(*obs_compute_ns_);
@@ -121,12 +120,10 @@ experiment_cache::get_or_create_program(const workload::workload_key& workload,
         [&]() -> program_ptr {
             if (store_ != nullptr) {
                 if (program_ptr loaded = probe_disk()) {
-                    count(disk_hits_, &cache_traffic::disk_hits);
-                    obs_disk_hits_->add(1);
+                    count(*obs_disk_hits_, &cache_traffic::disk_hits);
                     return loaded;
                 }
-                count(disk_misses_, &cache_traffic::disk_misses);
-                obs_disk_misses_->add(1);
+                count(*obs_disk_misses_, &cache_traffic::disk_misses);
                 program_ptr built = compute();
                 // Best-effort write-back: a failed publish (read-only store,
                 // disk full) degrades persistence, never the result. A

@@ -124,17 +124,18 @@ struct tier_traffic {
     std::atomic<std::uint64_t> misses{0};
 };
 
-/// Per-caller cache-traffic attribution sink. The cache's own counters are
-/// process-global: two sweeps sharing one cache (or a sweep running while
-/// another thread warms the cache) cannot untangle their traffic by
-/// differencing globals -- the windows overlap and every count lands in
-/// both. A caller that needs attribution-correct numbers passes its own
-/// sink through get_or_create; every lookup then increments BOTH the
-/// global counters and the caller's sink, and the sink sees exactly the
-/// traffic of the calls made with it. Waiting on another caller's
-/// in-flight construction counts as a hit here (this caller was served
-/// without doing the work); the constructing caller owns the miss and any
-/// disk traffic / compute it triggers.
+/// Per-caller cache-traffic attribution sink. The cache keeps no counters
+/// of its own; every lookup bumps the process-wide registry counters
+/// (cache.tier<N>.*), which two sweeps sharing one cache (or a sweep
+/// running while another thread warms the cache) cannot untangle by
+/// differencing -- the windows overlap and every count lands in both. A
+/// caller that needs attribution-correct numbers passes its own sink
+/// through get_or_create; every lookup then increments BOTH the registry
+/// and the caller's sink, and the sink sees exactly the traffic of the
+/// calls made with it. Waiting on another caller's in-flight construction
+/// counts as a hit here (this caller was served without doing the work);
+/// the constructing caller owns the miss and any disk traffic / compute it
+/// triggers.
 struct cache_traffic {
     tier_traffic stage;
     tier_traffic program;
@@ -153,12 +154,11 @@ template <typename Key, typename Ptr>
 class memo_tier {
 public:
     /// `shard_count` is rounded up to a power of two (the shard mask
-    /// requires it), minimum 1. `registry_hits`/`registry_misses`, when
-    /// given, are process-wide registry counters bumped alongside the
-    /// tier's own atomics (the instance counters stay authoritative for
-    /// hit_count()/miss_count(); the registry aggregates for --metrics).
-    explicit memo_tier(std::size_t shard_count, obs::counter* registry_hits = nullptr,
-                       obs::counter* registry_misses = nullptr)
+    /// requires it), minimum 1. `registry_hits`/`registry_misses` are the
+    /// process-wide registry counters every lookup bumps; they must outlive
+    /// the tier.
+    memo_tier(std::size_t shard_count, obs::counter& registry_hits,
+              obs::counter& registry_misses)
         : registry_hits_(registry_hits), registry_misses_(registry_misses)
     {
         shard_count = std::bit_ceil(shard_count == 0 ? std::size_t{1} : shard_count);
@@ -172,7 +172,7 @@ public:
     /// absent. Blocks when another thread is mid-construction of the same
     /// key; a factory exception is rethrown to every waiter and the entry
     /// dropped so a later call can retry. `sink`, when given, receives the
-    /// call's hit/miss in addition to the tier's global counters (see
+    /// call's hit/miss in addition to the registry counters (see
     /// cache_traffic).
     template <typename Factory>
     [[nodiscard]] Ptr get_or_create(const Key& key, Factory&& factory,
@@ -196,20 +196,14 @@ public:
         }
 
         if (!owner) {
-            hits_.fetch_add(1, std::memory_order_relaxed);
-            if (registry_hits_ != nullptr) {
-                registry_hits_->add(1);
-            }
+            registry_hits_.add(1);
             if (sink != nullptr) {
                 sink->hits.fetch_add(1, std::memory_order_relaxed);
             }
             return entry.get(); // blocks while the owner constructs
         }
 
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        if (registry_misses_ != nullptr) {
-            registry_misses_->add(1);
-        }
+        registry_misses_.add(1);
         if (sink != nullptr) {
             sink->misses.fetch_add(1, std::memory_order_relaxed);
         }
@@ -224,15 +218,6 @@ public:
             throw;
         }
         return entry.get();
-    }
-
-    [[nodiscard]] std::uint64_t hit_count() const noexcept
-    {
-        return hits_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t miss_count() const noexcept
-    {
-        return misses_.load(std::memory_order_relaxed);
     }
 
     [[nodiscard]] std::size_t size() const
@@ -280,10 +265,8 @@ private:
     }
 
     std::vector<std::unique_ptr<shard>> shards_;
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    obs::counter* registry_hits_;
-    obs::counter* registry_misses_;
+    obs::counter& registry_hits_;
+    obs::counter& registry_misses_;
 };
 
 /// The two-tier experiment memo (see file comment).
@@ -340,46 +323,6 @@ public:
         return store_;
     }
 
-    /// Stage-tier calls served without construction.
-    [[nodiscard]] std::uint64_t hit_count() const noexcept { return stage_tier_.hit_count(); }
-    /// Stage-tier calls that had to construct.
-    [[nodiscard]] std::uint64_t miss_count() const noexcept
-    {
-        return stage_tier_.miss_count();
-    }
-    /// Program-tier calls served without construction.
-    [[nodiscard]] std::uint64_t program_hit_count() const noexcept
-    {
-        return program_tier_.hit_count();
-    }
-    /// Program-tier calls not served by memory. Without a store this equals
-    /// the number of trace generations + profiler runs; with one, a miss
-    /// may still be served from disk (see program_compute_count()).
-    [[nodiscard]] std::uint64_t program_miss_count() const noexcept
-    {
-        return program_tier_.miss_count();
-    }
-    /// Memory misses served by a decodable, provenance-matching store entry
-    /// (no trace generation, no profiler run).
-    [[nodiscard]] std::uint64_t disk_hit_count() const noexcept
-    {
-        return disk_hits_.load(std::memory_order_relaxed);
-    }
-    /// Memory misses the disk tier could not serve (store attached but the
-    /// entry was absent, corrupt, version-skewed, or provenance-mismatched)
-    /// -- each one computed the artifacts and wrote them back.
-    [[nodiscard]] std::uint64_t disk_miss_count() const noexcept
-    {
-        return disk_misses_.load(std::memory_order_relaxed);
-    }
-    /// Times the expensive pipeline actually ran (trace generated + profiler
-    /// run). Counted directly at the compute site, never derived by
-    /// subtraction, so it cannot wrap.
-    [[nodiscard]] std::uint64_t program_compute_count() const noexcept
-    {
-        return program_computes_.load(std::memory_order_relaxed);
-    }
-
     /// Stage-tier entries currently resident (settled or under
     /// construction).
     [[nodiscard]] std::size_t size() const { return stage_tier_.size(); }
@@ -397,14 +340,11 @@ private:
     memo_tier<experiment_key, experiment_ptr> stage_tier_;
     memo_tier<program_key, program_ptr> program_tier_;
     std::shared_ptr<storage::artifact_store> store_;
-    std::atomic<std::uint64_t> disk_hits_{0};
-    std::atomic<std::uint64_t> disk_misses_{0};
-    std::atomic<std::uint64_t> program_computes_{0};
 
     // Registry instruments (cache.tier<N>.* taxonomy: tier1 = stage memo,
-    // tier2 = program memo, tier3 = disk). The tiers' own counters feed
-    // hit/miss via memo_tier's registry hooks; these cover the disk tier,
-    // the compute count, and the gated latency histograms.
+    // tier2 = program memo, tier3 = disk). memo_tier bumps the hit/miss
+    // counters of tiers 1 and 2; these cover the disk tier, the compute
+    // count, and the gated latency histograms.
     obs::counter* obs_disk_hits_;
     obs::counter* obs_disk_misses_;
     obs::counter* obs_computes_;

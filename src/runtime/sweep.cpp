@@ -305,9 +305,9 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec,
     result.cells.resize(owned.size() * policy_count);
 
     // Per-run attribution sink: every cache lookup this run makes counts
-    // here (and in the cache's process-global counters), so concurrent
-    // sweeps on one cache each report exactly their own traffic instead of
-    // differencing global counters over overlapping windows.
+    // here (and in the process-wide registry), so concurrent sweeps on one
+    // cache each report exactly their own traffic instead of differencing
+    // global counters over overlapping windows.
     cache_traffic traffic;
     std::atomic<std::uint64_t> cells_loaded{0};
     std::atomic<std::uint64_t> cells_stored{0};

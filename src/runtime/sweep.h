@@ -319,6 +319,12 @@ public:
     /// a spec reduced to the owned pairs (explicit pair list), so tables
     /// and CSVs cover exactly what this process computed; the canonical
     /// full document comes from merge_sweep_shards.
+    ///
+    /// The calling thread is an executor: while it waits it runs queued
+    /// pool tasks (thread_pool::run_one_task), so a pool of N workers runs
+    /// up to N+1 tasks at once. That keeps run() deadlock-free when called
+    /// from inside a pool task; it also means a 1-worker sweep uses about
+    /// two cores (CPU time near twice wall time).
     [[nodiscard]] sweep_result run(const sweep_spec& spec,
                                    const sweep_options& options = {}) const;
 

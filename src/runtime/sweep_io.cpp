@@ -12,7 +12,6 @@
 
 #include <unistd.h>
 
-#include "obs/metrics.h"
 #include "storage/artifact_store.h"
 #include "storage/serialize.h"
 #include "util/csv.h"
@@ -252,38 +251,32 @@ std::string render_sweep_table(const sweep_result& result)
     return rendered;
 }
 
-namespace {
-
-/// The four tier rows + trailing scalars both cache-stats sources render.
-struct cache_stats_view {
+std::string render_cache_stats(const sweep_result& result, cache_stats_format format)
+{
     struct row {
         const char* tier;
         std::uint64_t hits;
         std::uint64_t misses;
     };
-    row rows[4];
-    std::uint64_t program_computes = 0;
-    std::uint64_t cells_stored = 0;
-};
-
-/// One formatter for both sources, so the sink-sourced and
-/// registry-sourced variants can never drift apart in layout (the CLI
-/// contract tests pin this output byte for byte).
-std::string format_cache_stats(const cache_stats_view& view, cache_stats_format format)
-{
+    const row rows[] = {
+        {"program", result.program_cache_hits, result.program_cache_misses},
+        {"stage", result.cache_hits, result.cache_misses},
+        {"disk", result.disk_hits, result.disk_misses},
+        {"checkpoint", result.cells_loaded, result.cells_missed()},
+    };
     std::ostringstream out;
     switch (format) {
     case cache_stats_format::table: {
         util::text_table table({"tier", "hits", "misses"});
-        for (const cache_stats_view::row& r : view.rows) {
+        for (const row& r : rows) {
             table.begin_row();
             table.cell(std::string(r.tier));
             table.cell(static_cast<long long>(r.hits));
             table.cell(static_cast<long long>(r.misses));
         }
         out << table.render();
-        out << "program computes (trace gen + profiler): "
-            << view.program_computes << "\n";
+        out << "program computes (trace gen + profiler): " << result.program_computes
+            << "\n";
         break;
     }
     case cache_stats_format::csv:
@@ -292,60 +285,21 @@ std::string format_cache_stats(const cache_stats_view& view, cache_stats_format 
         // omitted rather than bent into the schema (table and JSON carry
         // it explicitly).
         out << "tier,hits,misses\n";
-        for (const cache_stats_view::row& r : view.rows) {
+        for (const row& r : rows) {
             out << r.tier << ',' << r.hits << ',' << r.misses << '\n';
         }
         break;
     case cache_stats_format::json:
         out << "{\"cache\": {";
-        for (std::size_t i = 0; i < std::size(view.rows); ++i) {
-            out << (i ? ", " : "") << '"' << view.rows[i].tier << "\": {\"hits\": "
-                << view.rows[i].hits << ", \"misses\": " << view.rows[i].misses << '}';
+        for (std::size_t i = 0; i < std::size(rows); ++i) {
+            out << (i ? ", " : "") << '"' << rows[i].tier << "\": {\"hits\": "
+                << rows[i].hits << ", \"misses\": " << rows[i].misses << '}';
         }
-        out << ", \"program_computes\": " << view.program_computes
-            << ", \"cells_stored\": " << view.cells_stored << "}}\n";
+        out << ", \"program_computes\": " << result.program_computes
+            << ", \"cells_stored\": " << result.cells_stored << "}}\n";
         break;
     }
     return out.str();
-}
-
-} // namespace
-
-std::string render_cache_stats(const sweep_result& result, cache_stats_format format)
-{
-    const cache_stats_view view{
-        {
-            {"program", result.program_cache_hits, result.program_cache_misses},
-            {"stage", result.cache_hits, result.cache_misses},
-            {"disk", result.disk_hits, result.disk_misses},
-            {"checkpoint", result.cells_loaded, result.cells_missed()},
-        },
-        result.program_computes,
-        result.cells_stored,
-    };
-    return format_cache_stats(view, format);
-}
-
-std::string render_cache_stats_from_metrics(cache_stats_format format)
-{
-    obs::metrics_registry& registry = obs::metrics_registry::global();
-    const auto count = [&registry](std::string_view name) {
-        return registry.counter_at(name).value();
-    };
-    // Row mapping onto the registry taxonomy: program = tier2 (program
-    // memo), stage = tier1 (stage memo), disk = tier3, checkpoint =
-    // sweep.cells_loaded / sweep.cells_missed.
-    const cache_stats_view view{
-        {
-            {"program", count("cache.tier2.hits"), count("cache.tier2.misses")},
-            {"stage", count("cache.tier1.hits"), count("cache.tier1.misses")},
-            {"disk", count("cache.tier3.hits"), count("cache.tier3.misses")},
-            {"checkpoint", count("sweep.cells_loaded"), count("sweep.cells_missed")},
-        },
-        count("cache.tier2.computes"),
-        count("sweep.cells_stored"),
-    };
-    return format_cache_stats(view, format);
 }
 
 std::vector<sweep_status> collect_store_status(const storage::artifact_store& store)

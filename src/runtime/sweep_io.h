@@ -73,15 +73,6 @@ enum class cache_stats_format { table, csv, json };
 [[nodiscard]] std::string render_cache_stats(const sweep_result& result,
                                              cache_stats_format format);
 
-/// Registry-sourced twin of render_cache_stats: the same rows, same
-/// formats, byte-identical layout -- but read from the process-wide
-/// metrics registry (cache.tier<N>.*, sweep.cells_*) instead of a
-/// sweep_result's attribution sink. This is what the runner's
-/// --cache-stats prints: the registry is the single source of truth for
-/// process-global counts, while the sink variant stays for callers
-/// attributing traffic to one sweep among several.
-[[nodiscard]] std::string render_cache_stats_from_metrics(cache_stats_format format);
-
 /// Reconstructed state of one shard of a recorded sweep (collect_store_status).
 struct shard_status {
     std::uint32_t index = 0;

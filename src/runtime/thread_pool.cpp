@@ -114,7 +114,6 @@ void thread_pool::execute_task(unique_task& task)
         const obs::scoped_timer timer(*obs_task_ns_);
         task();
     }
-    executed_.fetch_add(1, std::memory_order_relaxed);
     obs_executed_->add(1);
 }
 
@@ -147,7 +146,6 @@ bool thread_pool::acquire_task(std::size_t index, unique_task& out)
         if (!victim.tasks.empty()) {
             out = std::move(victim.tasks.back());
             victim.tasks.pop_back();
-            steals_.fetch_add(1, std::memory_order_relaxed);
             obs_steals_->add(1);
             return true;
         }

@@ -19,7 +19,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <future>
@@ -156,22 +155,9 @@ public:
     /// Returns false when every queue is empty. This is the helping
     /// primitive: anything blocked on a future of this pool should loop
     /// run_one_task() instead of sleeping, so a caller inside a pool worker
-    /// can never starve the tasks it is waiting for (parallel_for and
-    /// sweep_scheduler::run both do).
+    /// can never starve the tasks it is waiting for (sweep_scheduler::run's
+    /// wait loop does; parallel_for runs only its own blocks instead).
     bool run_one_task();
-
-    /// Tasks stolen from another worker's queue since construction
-    /// (observability for the scaling bench; not part of any contract).
-    [[nodiscard]] std::uint64_t steal_count() const noexcept
-    {
-        return steals_.load(std::memory_order_relaxed);
-    }
-
-    /// Tasks fully executed since construction.
-    [[nodiscard]] std::uint64_t executed_count() const noexcept
-    {
-        return executed_.load(std::memory_order_relaxed);
-    }
 
 private:
     struct worker_queue {
@@ -181,7 +167,7 @@ private:
     };
 
     void enqueue(unique_task task);
-    /// Runs `task`, bumping the executed counters and -- only when
+    /// Runs `task`, bumping pool.tasks_executed and -- only when
     /// telemetry is enabled -- timing it into the pool.task_ns histogram.
     void execute_task(unique_task& task);
     void worker_loop(std::size_t index);
@@ -204,13 +190,9 @@ private:
     std::atomic<std::size_t> pending_{0};
     std::atomic<std::size_t> next_queue_{0};
     std::atomic<bool> stopping_{false};
-    std::atomic<std::uint64_t> steals_{0};
-    std::atomic<std::uint64_t> executed_{0};
 
     // Registry instruments (pool.* taxonomy), resolved once at
-    // construction. The per-instance atomics above stay authoritative for
-    // steal_count()/executed_count(); the registry aggregates across every
-    // pool in the process for --metrics.
+    // construction; they aggregate across every pool in the process.
     obs::counter* obs_executed_;
     obs::counter* obs_steals_;
     obs::counter* obs_enqueued_;

@@ -1,6 +1,7 @@
 #include "storage/artifact_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -117,18 +118,15 @@ std::optional<std::string> artifact_store::load(std::string_view bucket,
     const std::uintmax_t size = fs::file_size(path, ec);
     std::ifstream in(path, std::ios::binary);
     if (ec || !in) {
-        load_misses_.fetch_add(1, std::memory_order_relaxed);
         obs_load_misses_->add(1);
         return std::nullopt;
     }
     std::string frame(static_cast<std::size_t>(size), '\0');
     in.read(frame.data(), static_cast<std::streamsize>(frame.size()));
     if (in.gcount() != static_cast<std::streamsize>(frame.size()) || in.bad()) {
-        load_misses_.fetch_add(1, std::memory_order_relaxed);
         obs_load_misses_->add(1);
         return std::nullopt;
     }
-    load_hits_.fetch_add(1, std::memory_order_relaxed);
     obs_load_hits_->add(1);
     obs_bytes_read_->add(frame.size());
     return frame;
@@ -173,7 +171,6 @@ bool artifact_store::store(std::string_view bucket, std::uint64_t digest,
     std::error_code ec;
     fs::create_directories(target.parent_path(), ec);
     if (ec) {
-        store_failures_.fetch_add(1, std::memory_order_relaxed);
         obs_store_failures_->add(1);
         return false;
     }
@@ -183,7 +180,6 @@ bool artifact_store::store(std::string_view bucket, std::uint64_t digest,
             !out.flush()) {
             out.close();
             fs::remove(tmp, ec);
-            store_failures_.fetch_add(1, std::memory_order_relaxed);
             obs_store_failures_->add(1);
             return false;
         }
@@ -192,11 +188,9 @@ bool artifact_store::store(std::string_view bucket, std::uint64_t digest,
     fs::rename(tmp, target, ec);
     if (ec) {
         fs::remove(tmp, ec);
-        store_failures_.fetch_add(1, std::memory_order_relaxed);
         obs_store_failures_->add(1);
         return false;
     }
-    stores_.fetch_add(1, std::memory_order_relaxed);
     obs_stores_->add(1);
     obs_bytes_written_->add(frame.size());
     return true;

@@ -28,7 +28,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <optional>
@@ -101,33 +100,10 @@ public:
     /// -- like every other read path, degraded, never throwing.
     [[nodiscard]] std::vector<std::uint64_t> list(std::string_view bucket) const;
 
-    /// Lifetime I/O counters (loads that returned bytes / came up empty,
-    /// successful stores, absorbed store failures).
-    [[nodiscard]] std::uint64_t load_hit_count() const noexcept
-    {
-        return load_hits_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t load_miss_count() const noexcept
-    {
-        return load_misses_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t store_count() const noexcept
-    {
-        return stores_.load(std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t store_failure_count() const noexcept
-    {
-        return store_failures_.load(std::memory_order_relaxed);
-    }
-
 private:
     std::filesystem::path root_;
     std::filesystem::path versioned_root_;
     std::filesystem::path tmp_dir_;
-    mutable std::atomic<std::uint64_t> load_hits_{0};
-    mutable std::atomic<std::uint64_t> load_misses_{0};
-    mutable std::atomic<std::uint64_t> stores_{0};
-    mutable std::atomic<std::uint64_t> store_failures_{0};
 
     // Registry instruments (store.* taxonomy), resolved once at
     // construction; counters aggregate every store instance in the

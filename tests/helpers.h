@@ -1,10 +1,16 @@
-// helpers.h -- shared test utilities: functional netlist evaluation.
+// helpers.h -- shared test utilities: functional netlist evaluation and a
+// self-deleting scratch directory.
 
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <span>
+#include <string>
+#include <system_error>
+#include <unistd.h>
 #include <vector>
 
 #include "circuit/cell_library.h"
@@ -13,6 +19,28 @@
 #include "circuit/voltage_model.h"
 
 namespace synts::test {
+
+/// A fresh directory under the system temp dir (unique per process and
+/// instance), removed with everything in it on destruction.
+struct temp_dir {
+    std::filesystem::path path;
+
+    temp_dir()
+    {
+        static std::atomic<std::uint64_t> counter{0};
+        path = std::filesystem::temp_directory_path() /
+               ("synts_test_" + std::to_string(::getpid()) + "_" +
+                std::to_string(counter.fetch_add(1)));
+        std::filesystem::create_directories(path);
+    }
+    ~temp_dir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+    temp_dir(const temp_dir&) = delete;
+    temp_dir& operator=(const temp_dir&) = delete;
+};
 
 /// Functional evaluator for a combinational netlist (single nominal
 /// corner). Also exposes the per-step sensitized delay.

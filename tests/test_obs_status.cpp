@@ -6,15 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
+#include "helpers.h"
 #include "runtime/experiment_cache.h"
 #include "runtime/sweep.h"
 #include "runtime/sweep_io.h"
@@ -28,25 +26,7 @@
 namespace {
 
 using namespace synts;
-namespace fs = std::filesystem;
-
-struct temp_dir {
-    fs::path path;
-
-    temp_dir()
-    {
-        static std::atomic<std::uint64_t> counter{0};
-        path = fs::temp_directory_path() /
-               ("synts_obs_status_test_" + std::to_string(::getpid()) + "_" +
-                std::to_string(counter.fetch_add(1)));
-        fs::create_directories(path);
-    }
-    ~temp_dir()
-    {
-        std::error_code ec;
-        fs::remove_all(path, ec);
-    }
-};
+using test::temp_dir;
 
 /// Tiny registered workload (1 interval x 500 instructions) so store-backed
 /// sweeps run in milliseconds; distinct from other suites' names.

@@ -7,13 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <string>
-#include <unistd.h>
 
+#include "helpers.h"
 #include "runtime/fleet_watch.h"
 #include "runtime/sweep.h"
 #include "runtime/sweep_io.h"
@@ -25,23 +24,7 @@ namespace {
 using namespace synts;
 namespace fs = std::filesystem;
 
-struct temp_dir {
-    fs::path path;
-
-    temp_dir()
-    {
-        static std::atomic<std::uint64_t> counter{0};
-        path = fs::temp_directory_path() /
-               ("synts_fleet_watch_test_" + std::to_string(::getpid()) + "_" +
-                std::to_string(counter.fetch_add(1)));
-        fs::create_directories(path);
-    }
-    ~temp_dir()
-    {
-        std::error_code ec;
-        fs::remove_all(path, ec);
-    }
-};
+using test::temp_dir;
 
 constexpr std::uint64_t digest = 4242;
 

@@ -23,19 +23,20 @@ constexpr auto kBenchmark = workload::benchmark_id::radix;
 TEST(runtime_program_cache, three_stages_share_one_program_artifact)
 {
     experiment_cache cache;
-    const auto decode =
-        cache.get_or_create(kBenchmark, circuit::pipe_stage::decode);
-    const auto simple =
-        cache.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu);
-    const auto complex_alu =
-        cache.get_or_create(kBenchmark, circuit::pipe_stage::complex_alu);
+    runtime::cache_traffic traffic;
+    const auto decode = cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, {},
+                                            nullptr, &traffic);
+    const auto simple = cache.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu,
+                                            {}, nullptr, &traffic);
+    const auto complex_alu = cache.get_or_create(
+        kBenchmark, circuit::pipe_stage::complex_alu, {}, nullptr, &traffic);
 
     // The acceptance pin: characterizing all three pipe stages generated the
     // trace and ran the architectural profiler exactly once.
-    EXPECT_EQ(cache.program_miss_count(), 1u);
-    EXPECT_EQ(cache.program_hit_count(), 2u);
+    EXPECT_EQ(traffic.program.misses.load(), 1u);
+    EXPECT_EQ(traffic.program.hits.load(), 2u);
     EXPECT_EQ(cache.program_size(), 1u);
-    EXPECT_EQ(cache.miss_count(), 3u);
+    EXPECT_EQ(traffic.stage.misses.load(), 3u);
 
     // All three experiments hold the very same artifact instance -- the
     // architectural profiles are shared through it, never duplicated into
@@ -52,6 +53,7 @@ TEST(runtime_program_cache, three_stages_share_one_program_artifact)
 TEST(runtime_program_cache, program_tier_keys_on_workload_digest_only)
 {
     experiment_cache cache;
+    runtime::cache_traffic traffic;
     const core::experiment_config base;
 
     core::experiment_config evaluation_only = base;
@@ -60,41 +62,44 @@ TEST(runtime_program_cache, program_tier_keys_on_workload_digest_only)
     ASSERT_NE(evaluation_only.digest(), base.digest());
     ASSERT_EQ(evaluation_only.workload_digest(), base.workload_digest());
 
-    const auto a = cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, base);
-    const auto b =
-        cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, evaluation_only);
+    const auto a = cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, base,
+                                       nullptr, &traffic);
+    const auto b = cache.get_or_create(kBenchmark, circuit::pipe_stage::decode,
+                                       evaluation_only, nullptr, &traffic);
 
     // Distinct experiments (different stage-tier keys), one shared artifact.
     EXPECT_NE(a.get(), b.get());
     EXPECT_EQ(a->artifacts().get(), b->artifacts().get());
-    EXPECT_EQ(cache.program_miss_count(), 1u);
-    EXPECT_EQ(cache.program_hit_count(), 1u);
+    EXPECT_EQ(traffic.program.misses.load(), 1u);
+    EXPECT_EQ(traffic.program.hits.load(), 1u);
 
     // A workload knob, by contrast, forces fresh artifacts.
     core::experiment_config reseeded = base;
     reseeded.seed = 43;
     ASSERT_NE(reseeded.workload_digest(), base.workload_digest());
-    const auto c = cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, reseeded);
+    const auto c = cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, reseeded,
+                                       nullptr, &traffic);
     EXPECT_NE(c->artifacts().get(), a->artifacts().get());
-    EXPECT_EQ(cache.program_miss_count(), 2u);
+    EXPECT_EQ(traffic.program.misses.load(), 2u);
     EXPECT_EQ(cache.program_size(), 2u);
 }
 
 TEST(runtime_program_cache, get_or_create_program_is_directly_usable)
 {
     experiment_cache cache;
-    const auto artifacts = cache.get_or_create_program(kBenchmark);
+    runtime::cache_traffic traffic;
+    const auto artifacts = cache.get_or_create_program(kBenchmark, {}, nullptr, &traffic);
     ASSERT_NE(artifacts, nullptr);
     EXPECT_NO_THROW(artifacts->validate());
     EXPECT_EQ(artifacts->workload, workload::workload_key(kBenchmark));
-    EXPECT_EQ(cache.program_miss_count(), 1u);
+    EXPECT_EQ(traffic.program.misses.load(), 1u);
 
     // The stage tier reuses a pre-seeded program entry.
-    const auto experiment =
-        cache.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu);
+    const auto experiment = cache.get_or_create(
+        kBenchmark, circuit::pipe_stage::simple_alu, {}, nullptr, &traffic);
     EXPECT_EQ(experiment->artifacts().get(), artifacts.get());
-    EXPECT_EQ(cache.program_miss_count(), 1u);
-    EXPECT_EQ(cache.program_hit_count(), 1u);
+    EXPECT_EQ(traffic.program.misses.load(), 1u);
+    EXPECT_EQ(traffic.program.hits.load(), 1u);
 }
 
 TEST(runtime_program_cache, pool_parallel_construction_is_bit_identical)
@@ -140,20 +145,21 @@ TEST(runtime_program_cache, pool_parallel_construction_is_bit_identical)
 TEST(runtime_program_cache, characterization_failure_drops_entries_on_both_tiers)
 {
     experiment_cache cache;
+    runtime::cache_traffic traffic;
     core::experiment_config broken;
     broken.thread_count = 0; // make_profile rejects this during phase one
     EXPECT_THROW((void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode,
-                                           broken),
+                                           broken, nullptr, &traffic),
                  std::invalid_argument);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.program_size(), 0u);
 
     // Retry attempts construction again on both tiers (no poisoned entry).
     EXPECT_THROW((void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode,
-                                           broken),
+                                           broken, nullptr, &traffic),
                  std::invalid_argument);
-    EXPECT_EQ(cache.miss_count(), 2u);
-    EXPECT_EQ(cache.program_miss_count(), 2u);
+    EXPECT_EQ(traffic.stage.misses.load(), 2u);
+    EXPECT_EQ(traffic.program.misses.load(), 2u);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.program_size(), 0u);
 }
@@ -185,14 +191,17 @@ TEST(runtime_program_cache, scheduler_sweep_shares_artifacts_without_deadlock)
 TEST(runtime_program_cache, clear_forgets_both_tiers)
 {
     experiment_cache cache;
-    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode);
+    runtime::cache_traffic traffic;
+    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, {}, nullptr,
+                              &traffic);
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(cache.program_size(), 1u);
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.program_size(), 0u);
-    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode);
-    EXPECT_EQ(cache.program_miss_count(), 2u);
+    (void)cache.get_or_create(kBenchmark, circuit::pipe_stage::decode, {}, nullptr,
+                              &traffic);
+    EXPECT_EQ(traffic.program.misses.load(), 2u);
 }
 
 } // namespace

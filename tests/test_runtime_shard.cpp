@@ -7,17 +7,16 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unistd.h>
 #include <vector>
 
+#include "helpers.h"
+#include "obs/metrics.h"
 #include "runtime/experiment_cache.h"
 #include "runtime/sweep.h"
 #include "runtime/sweep_io.h"
@@ -31,26 +30,8 @@
 namespace {
 
 using namespace synts;
-namespace fs = std::filesystem;
 
-/// Self-cleaning unique directory under the system temp dir.
-struct temp_dir {
-    fs::path path;
-
-    temp_dir()
-    {
-        static std::atomic<std::uint64_t> counter{0};
-        path = fs::temp_directory_path() /
-               ("synts_shard_test_" + std::to_string(::getpid()) + "_" +
-                std::to_string(counter.fetch_add(1)));
-        fs::create_directories(path);
-    }
-    ~temp_dir()
-    {
-        std::error_code ec;
-        fs::remove_all(path, ec);
-    }
-};
+using test::temp_dir;
 
 /// Registers (once) and returns a tiny workload in the global registry --
 /// 1 interval x 500 instructions, ~100x cheaper than a built-in profile --
@@ -323,6 +304,8 @@ TEST(runtime_shard, concurrent_sweeps_on_one_cache_attribute_their_own_traffic)
 
     runtime::sweep_result result_a;
     runtime::sweep_result result_b;
+    obs::metrics_registry& registry = obs::metrics_registry::global();
+    registry.reset();
     std::thread other([&] { result_b = scheduler_b.run(spec_b); });
     result_a = scheduler_a.run(spec_a);
     other.join();
@@ -336,10 +319,10 @@ TEST(runtime_shard, concurrent_sweeps_on_one_cache_attribute_their_own_traffic)
         EXPECT_EQ(result->disk_hits, 0u);
         EXPECT_EQ(result->disk_misses, 0u);
     }
-    // The globals still see the union.
-    EXPECT_EQ(cache.program_miss_count(), 2u);
-    EXPECT_EQ(cache.program_compute_count(), 2u);
-    EXPECT_EQ(cache.miss_count(), 2u);
+    // The process-wide registry still sees the union.
+    EXPECT_EQ(registry.counter_at("cache.tier2.misses").value(), 2u);
+    EXPECT_EQ(registry.counter_at("cache.tier2.computes").value(), 2u);
+    EXPECT_EQ(registry.counter_at("cache.tier1.misses").value(), 2u);
 
     // A re-run of sweep A against the warm cache reports pure hits -- and
     // zero computes, where the old differencing could even wrap negative

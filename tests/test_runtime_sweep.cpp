@@ -2,19 +2,24 @@
 // bit-identical to the serial pareto_sweep path, schedule independence
 // across worker counts, error propagation, concurrent use of one shared
 // benchmark_experiment (the run_policy/pareto_sweep thread-safety
-// contract), and the CSV/JSON emitters and name parsers the runner CLI
-// uses.
+// contract), the CSV/JSON emitters and name parsers the runner CLI uses,
+// and agreement between the metrics registry and a sweep's own counts.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
+#include "helpers.h"
+#include "obs/metrics.h"
 #include "runtime/sweep.h"
 #include "runtime/sweep_io.h"
+#include "storage/artifact_store.h"
 #include "util/hashing.h"
 
 namespace {
@@ -229,6 +234,54 @@ TEST(runtime_sweep, emitters_cover_every_cell)
         runtime::render_cache_stats(result, runtime::cache_stats_format::csv);
     EXPECT_NE(stats.find("disk,0,0"), std::string::npos);
     EXPECT_NE(stats.find("checkpoint,0,0"), std::string::npos);
+}
+
+TEST(runtime_sweep, registry_counters_match_sweep_result)
+{
+    // --metrics, --sample and OpenMetrics read the process-wide registry;
+    // --cache-stats and bench_e2e read the sweep_result. For a process
+    // running one sweep the two must agree, cold and warm. Each run starts
+    // from a reset registry: live totals are never differenced.
+    test::temp_dir dir;
+    runtime::thread_pool pool(2);
+    runtime::sweep_spec spec = small_spec();
+    spec.theta_multipliers.clear();
+    obs::metrics_registry& registry = obs::metrics_registry::global();
+    const auto count = [&registry](std::string_view name) {
+        return registry.counter_at(name).value();
+    };
+    const auto expect_registry_matches = [&](const runtime::sweep_result& result) {
+        EXPECT_EQ(count("cache.tier1.hits"), result.cache_hits);
+        EXPECT_EQ(count("cache.tier1.misses"), result.cache_misses);
+        EXPECT_EQ(count("cache.tier2.hits"), result.program_cache_hits);
+        EXPECT_EQ(count("cache.tier2.misses"), result.program_cache_misses);
+        EXPECT_EQ(count("cache.tier2.computes"), result.program_computes);
+        EXPECT_EQ(count("cache.tier3.hits"), result.disk_hits);
+        EXPECT_EQ(count("cache.tier3.misses"), result.disk_misses);
+        EXPECT_EQ(count("sweep.cells_loaded"), result.cells_loaded);
+        EXPECT_EQ(count("sweep.cells_stored"), result.cells_stored);
+        EXPECT_EQ(count("sweep.cells_missed"), result.cells_missed());
+    };
+
+    registry.reset();
+    runtime::experiment_cache cold_cache;
+    cold_cache.attach_store(std::make_shared<storage::artifact_store>(dir.path));
+    const runtime::sweep_result cold =
+        runtime::sweep_scheduler(pool, cold_cache).run(spec);
+    EXPECT_EQ(cold.program_computes, 1u);
+    EXPECT_EQ(cold.disk_misses, 1u);
+    EXPECT_EQ(cold.cells_stored, cold.cells.size());
+    expect_registry_matches(cold);
+
+    // A second "process" over the same store: artifacts come off disk.
+    registry.reset();
+    runtime::experiment_cache warm_cache;
+    warm_cache.attach_store(std::make_shared<storage::artifact_store>(dir.path));
+    const runtime::sweep_result warm =
+        runtime::sweep_scheduler(pool, warm_cache).run(spec);
+    EXPECT_EQ(warm.disk_hits, 1u);
+    EXPECT_EQ(warm.program_computes, 0u);
+    expect_registry_matches(warm);
 }
 
 TEST(runtime_sweep, name_parsers_are_forgiving)

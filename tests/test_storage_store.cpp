@@ -18,7 +18,9 @@
 #include <unistd.h>
 #include <vector>
 
+#include "helpers.h"
 #include "core/experiment.h"
+#include "obs/metrics.h"
 #include "runtime/experiment_cache.h"
 #include "runtime/sweep.h"
 #include "runtime/thread_pool.h"
@@ -32,24 +34,7 @@ namespace fs = std::filesystem;
 
 constexpr auto kBenchmark = workload::benchmark_id::radix;
 
-/// Self-cleaning unique directory under the system temp dir.
-struct temp_dir {
-    fs::path path;
-
-    temp_dir()
-    {
-        static std::atomic<std::uint64_t> counter{0};
-        path = fs::temp_directory_path() /
-               ("synts_store_test_" + std::to_string(::getpid()) + "_" +
-                std::to_string(counter.fetch_add(1)));
-        fs::create_directories(path);
-    }
-    ~temp_dir()
-    {
-        std::error_code ec;
-        fs::remove_all(path, ec);
-    }
-};
+using test::temp_dir;
 
 /// The program-tier store key the cache uses for (benchmark, config).
 std::uint64_t program_key_digest(workload::benchmark_id benchmark,
@@ -94,6 +79,8 @@ bool same_cells(const runtime::sweep_cell& a, const runtime::sweep_cell& b)
 
 TEST(storage_store, blob_round_trip_layout_and_counters)
 {
+    obs::metrics_registry& registry = obs::metrics_registry::global();
+    registry.reset();
     temp_dir dir;
     storage::artifact_store store(dir.path);
     EXPECT_EQ(store.root(), dir.path);
@@ -101,13 +88,13 @@ TEST(storage_store, blob_round_trip_layout_and_counters)
     const std::uint64_t key = 0xABCDEF0011223344ull;
     EXPECT_FALSE(store.contains(storage::program_bucket, key));
     EXPECT_EQ(store.load(storage::program_bucket, key), std::nullopt);
-    EXPECT_EQ(store.load_miss_count(), 1u);
+    EXPECT_EQ(registry.counter_at("store.load_misses").value(), 1u);
 
     ASSERT_TRUE(store.store(storage::program_bucket, key, "some frame bytes"));
     EXPECT_TRUE(store.contains(storage::program_bucket, key));
     EXPECT_EQ(store.load(storage::program_bucket, key), "some frame bytes");
-    EXPECT_EQ(store.load_hit_count(), 1u);
-    EXPECT_EQ(store.store_count(), 1u);
+    EXPECT_EQ(registry.counter_at("store.load_hits").value(), 1u);
+    EXPECT_EQ(registry.counter_at("store.stores").value(), 1u);
 
     // Sharded, versioned layout: v<format_version>/<bucket>/<top byte>/<hex16>.bin.
     const fs::path version_dir = "v" + std::to_string(storage::format_version);
@@ -168,11 +155,13 @@ TEST(storage_store, warm_cache_restores_artifacts_without_computing)
 
     // Cold process: computes, writes back.
     runtime::experiment_cache cold;
+    runtime::cache_traffic cold_traffic;
     cold.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto computed = cold.get_or_create_program(kBenchmark, config);
-    EXPECT_EQ(cold.disk_hit_count(), 0u);
-    EXPECT_EQ(cold.disk_miss_count(), 1u);
-    EXPECT_EQ(cold.program_compute_count(), 1u);
+    const auto computed = cold.get_or_create_program(kBenchmark, config, nullptr,
+                                                     &cold_traffic);
+    EXPECT_EQ(cold_traffic.disk_hits.load(), 0u);
+    EXPECT_EQ(cold_traffic.disk_misses.load(), 1u);
+    EXPECT_EQ(cold_traffic.program_computes.load(), 1u);
     EXPECT_TRUE(cold.store()->contains(storage::program_bucket,
                                        program_key_digest(kBenchmark, config)));
 
@@ -180,17 +169,19 @@ TEST(storage_store, warm_cache_restores_artifacts_without_computing)
     // the artifacts come off disk -- zero trace generations -- and are bit
     // identical to the computed ones.
     runtime::experiment_cache warm;
+    runtime::cache_traffic warm_traffic;
     warm.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto restored = warm.get_or_create_program(kBenchmark, config);
-    EXPECT_EQ(warm.disk_hit_count(), 1u);
-    EXPECT_EQ(warm.disk_miss_count(), 0u);
-    EXPECT_EQ(warm.program_compute_count(), 0u);
+    const auto restored = warm.get_or_create_program(kBenchmark, config, nullptr,
+                                                     &warm_traffic);
+    EXPECT_EQ(warm_traffic.disk_hits.load(), 1u);
+    EXPECT_EQ(warm_traffic.disk_misses.load(), 0u);
+    EXPECT_EQ(warm_traffic.program_computes.load(), 0u);
     EXPECT_TRUE(same_artifacts(*computed, *restored));
     EXPECT_NO_THROW(restored->validate());
 
     // The acceptance pin: disk-tier hits cover every program-tier lookup
     // that memory could not serve.
-    EXPECT_EQ(warm.disk_hit_count(), warm.program_miss_count());
+    EXPECT_EQ(warm_traffic.disk_hits.load(), warm_traffic.program.misses.load());
 }
 
 TEST(storage_store, full_experiment_from_disk_artifacts_is_bit_identical)
@@ -202,10 +193,11 @@ TEST(storage_store, full_experiment_from_disk_artifacts_is_bit_identical)
         cold.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu);
 
     runtime::experiment_cache warm;
+    runtime::cache_traffic warm_traffic;
     warm.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto from_disk =
-        warm.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu);
-    EXPECT_EQ(warm.program_compute_count(), 0u);
+    const auto from_disk = warm.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu,
+                                              {}, nullptr, &warm_traffic);
+    EXPECT_EQ(warm_traffic.program_computes.load(), 0u);
 
     const double theta = from_compute->equal_weight_theta();
     EXPECT_EQ(from_disk->equal_weight_theta(), theta);
@@ -253,21 +245,25 @@ TEST(storage_store, every_corruption_class_is_a_miss_and_gets_rebuilt)
 
         // The corrupt file is a miss: rebuilt, never crashed, never served.
         runtime::experiment_cache victim;
+        runtime::cache_traffic victim_traffic;
         victim.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-        const auto rebuilt = victim.get_or_create_program(kBenchmark, config);
-        EXPECT_EQ(victim.disk_hit_count(), 0u);
-        EXPECT_EQ(victim.disk_miss_count(), 1u);
-        EXPECT_EQ(victim.program_compute_count(), 1u);
+        const auto rebuilt =
+            victim.get_or_create_program(kBenchmark, config, nullptr, &victim_traffic);
+        EXPECT_EQ(victim_traffic.disk_hits.load(), 0u);
+        EXPECT_EQ(victim_traffic.disk_misses.load(), 1u);
+        EXPECT_EQ(victim_traffic.program_computes.load(), 1u);
         EXPECT_NO_THROW(rebuilt->validate());
         EXPECT_EQ(rebuilt->seed, config.seed);
         EXPECT_EQ(rebuilt->workload_digest, config.workload_digest());
 
         // ... and the rebuild repaired the store: the next fresh cache hits.
         runtime::experiment_cache repaired;
+        runtime::cache_traffic repaired_traffic;
         repaired.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-        (void)repaired.get_or_create_program(kBenchmark, config);
-        EXPECT_EQ(repaired.disk_hit_count(), 1u);
-        EXPECT_EQ(repaired.program_compute_count(), 0u);
+        (void)repaired.get_or_create_program(kBenchmark, config, nullptr,
+                                             &repaired_traffic);
+        EXPECT_EQ(repaired_traffic.disk_hits.load(), 1u);
+        EXPECT_EQ(repaired_traffic.program_computes.load(), 0u);
     }
 }
 
@@ -295,10 +291,12 @@ TEST(storage_store, wrong_digest_entry_is_a_miss_never_stale_data)
                             program_key_digest(kBenchmark, seed42), *frame43));
 
     runtime::experiment_cache victim;
+    runtime::cache_traffic victim_traffic;
     victim.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto rebuilt = victim.get_or_create_program(kBenchmark, seed42);
-    EXPECT_EQ(victim.disk_hit_count(), 0u);
-    EXPECT_EQ(victim.program_compute_count(), 1u);
+    const auto rebuilt =
+        victim.get_or_create_program(kBenchmark, seed42, nullptr, &victim_traffic);
+    EXPECT_EQ(victim_traffic.disk_hits.load(), 0u);
+    EXPECT_EQ(victim_traffic.program_computes.load(), 1u);
     EXPECT_EQ(rebuilt->seed, 42u); // the request's workload, not the file's
     EXPECT_EQ(rebuilt->workload_digest, seed42.workload_digest());
 }
@@ -306,11 +304,12 @@ TEST(storage_store, wrong_digest_entry_is_a_miss_never_stale_data)
 TEST(storage_store, detached_cache_never_touches_disk)
 {
     runtime::experiment_cache cache;
-    (void)cache.get_or_create_program(kBenchmark);
+    runtime::cache_traffic traffic;
+    (void)cache.get_or_create_program(kBenchmark, {}, nullptr, &traffic);
     EXPECT_EQ(cache.store(), nullptr);
-    EXPECT_EQ(cache.disk_hit_count(), 0u);
-    EXPECT_EQ(cache.disk_miss_count(), 0u);
-    EXPECT_EQ(cache.program_compute_count(), 1u);
+    EXPECT_EQ(traffic.disk_hits.load(), 0u);
+    EXPECT_EQ(traffic.disk_misses.load(), 0u);
+    EXPECT_EQ(traffic.program_computes.load(), 1u);
 }
 
 // -- concurrent runners sharing one store directory -------------------------
@@ -345,10 +344,11 @@ TEST(storage_store, two_runners_race_on_one_store_directory)
 
     // Whoever lost the publish race left a fully valid entry behind.
     runtime::experiment_cache after;
+    runtime::cache_traffic after_traffic;
     after.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    (void)after.get_or_create_program(kBenchmark, config);
-    EXPECT_EQ(after.disk_hit_count(), 1u);
-    EXPECT_EQ(after.program_compute_count(), 0u);
+    (void)after.get_or_create_program(kBenchmark, config, nullptr, &after_traffic);
+    EXPECT_EQ(after_traffic.disk_hits.load(), 1u);
+    EXPECT_EQ(after_traffic.program_computes.load(), 0u);
 }
 
 // -- sweep checkpointing and resume -----------------------------------------

@@ -95,9 +95,9 @@ constexpr std::string_view usage = R"(synts_runner -- batched SynTS experiment s
                       --resume.
   --cache-stats[=FMT] print hit/miss counts of every cache tier (program
                       artifacts, stage experiments, disk store, cell
-                      checkpoints) plus the compute count, sourced from the
-                      process metrics registry; FMT: table (default), csv,
-                      json
+                      checkpoints) plus the compute count, as attributed
+                      to this run's sweep (or to the merge, under --merge);
+                      FMT: table (default), csv, json
   --metrics[=FMT]     after the run, print the whole metrics registry --
                       pool.*, cache.tier<N>.*, store.*, sweep.* counters,
                       gauges and latency histograms (p50/p95/p99); FMT:
@@ -543,7 +543,10 @@ int main(int argc, char** argv)
                             static_cast<unsigned long long>(result.cache_misses),
                             static_cast<unsigned long long>(result.program_cache_hits),
                             static_cast<unsigned long long>(result.program_cache_misses),
-                            static_cast<unsigned long long>(pool.steal_count()));
+                            static_cast<unsigned long long>(
+                                obs::metrics_registry::global()
+                                    .counter_at("pool.steals")
+                                    .value()));
                 if (store != nullptr) {
                     std::printf("store %s: %llu artifact disk hits, %llu computes, "
                                 "%llu cells restored, %llu cells persisted\n",
@@ -559,11 +562,7 @@ int main(int argc, char** argv)
             sampler->stop(); // guaranteed final tick: end-of-run totals
         }
         if (cache_stats) {
-            // Registry-sourced: the process-wide counters are the single
-            // source of truth (byte-identical layout to the sink-sourced
-            // renderer, which remains for multi-sweep attribution).
-            std::fputs(runtime::render_cache_stats_from_metrics(*cache_stats).c_str(),
-                       stdout);
+            std::fputs(runtime::render_cache_stats(result, *cache_stats).c_str(), stdout);
         }
         if (metrics.has_value()) {
             std::fputs(obs::render_metrics(obs::metrics_registry::global().snapshot(),
