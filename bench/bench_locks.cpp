@@ -71,8 +71,8 @@ double bare_ns_per_iter(std::uint64_t& sink)
 
 double annotated_ns_per_iter(std::uint64_t& sink)
 {
-    util::annotated_mutex outer(util::lock_rank::pool_sleep, "bench.outer");
-    util::annotated_mutex inner(util::lock_rank::pool_queue, "bench.inner");
+    util::annotated_mutex outer(util::lock_rank::pool_queue, "bench.outer");
+    util::annotated_mutex inner(util::lock_rank::cache_shard, "bench.inner");
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t x = 0x9E3779B97F4A7C15ull;
     for (std::uint64_t i = 0; i < iterations; ++i) {

@@ -105,7 +105,7 @@ stage_characterization characterizer::characterize(const program_artifacts& prog
     std::size_t chunks_per_thread = 1;
     if (workers > 1 && thread_count > 0 && interval_count > 0) {
         // Aim for ~4 chunks per worker across all threads so the tail of an
-        // uneven schedule still has work to steal.
+        // uneven schedule still has unclaimed chunks to hand out.
         const std::size_t target_chunks = 4 * workers;
         chunks_per_thread = (target_chunks + thread_count - 1) / thread_count;
         chunks_per_thread = std::clamp<std::size_t>(chunks_per_thread, 1, interval_count);

@@ -2,7 +2,7 @@
 // log-bucketed latency histograms.
 //
 // The registry holds PROCESS TOTALS. It is the one place an instrument is
-// declared (a dotted name: `pool.steals`, `cache.tier2.compute_ns`,
+// declared (a dotted name: `pool.tasks_executed`, `cache.tier2.compute_ns`,
 // `store.bytes_read`) and the one place a consumer reads totals back
 // (`snapshot()` -> deterministic name order -> JSON/CSV/table emitters in
 // render_metrics). Per-caller attribution is not its job: totals of two

@@ -6,7 +6,7 @@
 // decides HOW: it expands the spec into one task per (benchmark, stage)
 // pair -- the pair's characterization, theta_eq and Nominal baseline are
 // computed once and shared across its policy cells -- runs the tasks on a
-// work-stealing thread_pool, memoizes the heavyweight characterizations in
+// thread_pool, memoizes the heavyweight characterizations in
 // an experiment_cache (each (benchmark, stage, config) is characterized
 // once no matter how many specs or figures consume it), and aggregates the
 // cells in a deterministic, schedule-independent order.

@@ -73,58 +73,6 @@ enum class cache_stats_format { table, csv, json };
 [[nodiscard]] std::string render_cache_stats(const sweep_result& result,
                                              cache_stats_format format);
 
-/// Reconstructed state of one shard of a recorded sweep (collect_store_status).
-struct shard_status {
-    std::uint32_t index = 0;
-    std::uint64_t done = 0;
-    std::uint64_t owned = 0;
-    bool complete = false; ///< completion manifest seen (wins over progress)
-    bool reported = false; ///< any frame (progress or completion) seen
-    /// Age of the shard's live shard_progress frame (file mtime -- the
-    /// instant of its last atomic republish); nullopt when the shard never
-    /// published one or the file vanished. --watch's staleness signal.
-    std::optional<std::uint64_t> frame_age_ns;
-};
-
-/// Reconstructed state of one sweep recorded in a store's manifest bucket.
-struct sweep_status {
-    std::uint64_t spec_digest = 0;
-    std::uint32_t shard_count = 1;
-    std::uint64_t total_cells = 0; ///< from the layout frame; 0 = none seen
-    bool layout = false;
-    std::vector<shard_status> shards; ///< size shard_count, index order
-    std::uint64_t total_done = 0;
-    std::uint64_t total_owned = 0; ///< layout-corrected (never undercounts)
-
-    /// Every shard attested complete via its completion manifest.
-    [[nodiscard]] bool all_complete() const
-    {
-        for (const shard_status& s : shards) {
-            if (!s.complete) {
-                return false;
-            }
-        }
-        return !shards.empty();
-    }
-};
-
-/// Scans `store`'s manifest bucket into structured per-sweep/per-shard
-/// state: completion manifests win over progress frames (a complete shard
-/// can never regress behind a stale count), undecodable frames are skipped,
-/// and the layout frame's total cell count corrects the owned total for
-/// shards that have not reported. Deterministic: sweeps ordered by spec
-/// digest, shards by index. Both --status and --watch read through this.
-[[nodiscard]] std::vector<sweep_status>
-collect_store_status(const storage::artifact_store& store);
-
-/// Fleet view of the sweeps recorded in a store's manifest bucket (the
-/// runner's --status flag): per sweep, one line per shard with its
-/// cells-stored-over-owned progress (completion manifests mark a shard
-/// "complete"; live shard_progress frames supply mid-run counts), plus a
-/// total line. Deterministic: sweeps ordered by spec digest, shards by
-/// index.
-[[nodiscard]] std::string render_store_status(const storage::artifact_store& store);
-
 /// Parses "table" / "csv" / "json" (same forgiving matching as the enum
 /// parsers below); std::nullopt on an unknown token.
 [[nodiscard]] std::optional<cache_stats_format>
@@ -135,7 +83,6 @@ parse_cache_stats_format(std::string_view token);
 [[nodiscard]] std::vector<std::string_view> split_csv(std::string_view csv);
 
 /// Name parsing. Each returns std::nullopt on an unknown token.
-[[nodiscard]] std::optional<workload::benchmark_id> parse_benchmark(std::string_view token);
 [[nodiscard]] std::optional<circuit::pipe_stage> parse_stage(std::string_view token);
 [[nodiscard]] std::optional<core::policy_kind> parse_policy(std::string_view token);
 
@@ -145,10 +92,9 @@ parse_cache_stats_format(std::string_view token);
 [[nodiscard]] std::optional<workload::workload_key>
 parse_workload(const workload::workload_registry& registry, std::string_view token);
 
-/// List parsing for CLI flags: comma-separated tokens, or the keywords
-/// "all" (every value) and -- for benchmarks -- "reported" (the paper's
-/// seven). Throws std::invalid_argument naming the offending token.
-[[nodiscard]] std::vector<workload::benchmark_id> parse_benchmark_list(std::string_view csv);
+/// List parsing for CLI flags: comma-separated tokens, or the keyword
+/// "all" (every value). Throws std::invalid_argument naming the offending
+/// token.
 [[nodiscard]] std::vector<circuit::pipe_stage> parse_stage_list(std::string_view csv);
 [[nodiscard]] std::vector<core::policy_kind> parse_policy_list(std::string_view csv);
 

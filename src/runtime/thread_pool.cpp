@@ -3,25 +3,22 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <exception>
+#include <memory>
 
 namespace synts::runtime {
 
 namespace {
 
-/// Index of the pool worker running on this thread, or npos outside a pool.
-/// Used so tasks submitted from inside a worker land on that worker's own
-/// queue (LIFO locality) instead of round-robin.
-constexpr std::size_t npos = static_cast<std::size_t>(-1);
-thread_local std::size_t tls_worker_index = npos;
+/// The pool whose worker runs on this thread, or nullptr outside a pool.
+/// enqueue() lets a worker's own submissions through the drain gate.
 thread_local const thread_pool* tls_worker_pool = nullptr;
 
 } // namespace
 
 thread_pool::thread_pool(std::size_t worker_count)
     : obs_executed_(&obs::metrics_registry::global().counter_at("pool.tasks_executed")),
-      obs_steals_(&obs::metrics_registry::global().counter_at("pool.steals")),
       obs_enqueued_(&obs::metrics_registry::global().counter_at("pool.tasks_enqueued")),
       obs_queue_depth_(&obs::metrics_registry::global().gauge_at("pool.queue_depth")),
       obs_task_ns_(&obs::metrics_registry::global().histogram_at("pool.task_ns"))
@@ -29,36 +26,30 @@ thread_pool::thread_pool(std::size_t worker_count)
     if (worker_count == 0) {
         worker_count = std::max<std::size_t>(1, std::thread::hardware_concurrency());
     }
-    queues_.reserve(worker_count);
-    for (std::size_t i = 0; i < worker_count; ++i) {
-        queues_.push_back(std::make_unique<worker_queue>());
-    }
     workers_.reserve(worker_count);
     try {
         for (std::size_t i = 0; i < worker_count; ++i) {
-            workers_.emplace_back([this, i] { worker_loop(i); });
+            workers_.emplace_back([this] { worker_loop(); });
         }
     } catch (...) {
         // Thread creation can fail (resource exhaustion). Already-started
         // workers MUST be stopped and joined before the exception leaves,
         // or their std::thread destructors call std::terminate.
-        {
-            const util::mutex_lock lock(sleep_mutex_);
-            stopping_.store(true, std::memory_order_release);
-        }
-        wake_.notify_all();
-        for (std::thread& worker : workers_) {
-            worker.join();
-        }
+        stop_and_join();
         throw;
     }
 }
 
 thread_pool::~thread_pool()
 {
+    stop_and_join();
+}
+
+void thread_pool::stop_and_join()
+{
     {
-        const util::mutex_lock lock(sleep_mutex_);
-        stopping_.store(true, std::memory_order_release);
+        const util::mutex_lock lock(mutex_);
+        stopping_ = true;
     }
     wake_.notify_all();
     for (std::thread& worker : workers_) {
@@ -66,49 +57,27 @@ thread_pool::~thread_pool()
     }
 }
 
-void thread_pool::enqueue(unique_task task)
+void thread_pool::enqueue(std::packaged_task<void()> task)
 {
-    const bool from_worker = tls_worker_pool == this;
-    std::size_t target = from_worker ? tls_worker_index : npos;
-    if (target == npos) {
-        target = next_queue_.fetch_add(1, std::memory_order_relaxed) % queues_.size();
-    }
     {
-        // sleep_mutex_ is held across the whole {gate, push, increment}
-        // sequence, for two reasons:
-        //
-        //   * the increment must be ordered against the workers' predicate
-        //     check under sleep_mutex_, or a notify can land in the window
-        //     between a worker seeing pending_ == 0 and blocking -- a lost
-        //     wakeup that strands a queued task forever;
-        //   * the destructor sets stopping_ under this same mutex, so an
-        //     EXTERNAL submit either fully lands before the drain flag (and
-        //     workers cannot exit while pending_ > 0, so it runs before
-        //     join) or observes the flag here and throws pool_stopped with
-        //     nothing enqueued. Without the gate this race was UB.
-        //
-        // Worker self-submissions stay exempt: the drain contract promises
-        // that follow-ups submitted by in-flight tasks run before join.
-        // Lock order sleep_mutex_ -> queue mutex is acyclic: workers take
-        // the queue mutexes and sleep_mutex_ separately, never nested the
-        // other way.
-        const util::mutex_lock lock(sleep_mutex_);
-        if (!from_worker && stopping_.load(std::memory_order_acquire)) {
+        // The drain flag is read under the lock the destructor sets it
+        // with, so an EXTERNAL submit either lands before the flag (and
+        // workers exit only on an empty queue, so it runs before join) or
+        // throws pool_stopped with nothing enqueued. A worker's own
+        // submissions stay exempt: the drain contract promises that
+        // follow-ups submitted by in-flight tasks run before join.
+        const util::mutex_lock lock(mutex_);
+        if (stopping_ && tls_worker_pool != this) {
             throw pool_stopped("thread_pool: submit after shutdown began");
         }
-        {
-            worker_queue& queue = *queues_[target];
-            const util::mutex_lock queue_lock(queue.mutex);
-            queue.tasks.push_front(std::move(task));
-        }
-        obs_queue_depth_->set(static_cast<std::int64_t>(
-            pending_.fetch_add(1, std::memory_order_release) + 1));
+        tasks_.push_back(std::move(task));
+        obs_queue_depth_->set(static_cast<std::int64_t>(tasks_.size()));
     }
     obs_enqueued_->add(1);
     wake_.notify_one();
 }
 
-void thread_pool::execute_task(unique_task& task)
+void thread_pool::execute_task(std::packaged_task<void()>& task)
 {
     {
         const obs::scoped_timer timer(*obs_task_ns_);
@@ -119,77 +88,38 @@ void thread_pool::execute_task(unique_task& task)
 
 bool thread_pool::run_one_task()
 {
-    unique_task task;
-    if (!steal_any(task)) {
-        return false;
+    std::packaged_task<void()> task;
+    {
+        const util::mutex_lock lock(mutex_);
+        if (tasks_.empty()) {
+            return false;
+        }
+        task = std::move(tasks_.back());
+        tasks_.pop_back();
+        obs_queue_depth_->set(static_cast<std::int64_t>(tasks_.size()));
     }
-    obs_queue_depth_->set(static_cast<std::int64_t>(
-        pending_.fetch_sub(1, std::memory_order_acq_rel) - 1));
     execute_task(task);
     return true;
 }
 
-bool thread_pool::acquire_task(std::size_t index, unique_task& out)
+void thread_pool::worker_loop()
 {
-    {
-        worker_queue& own = *queues_[index];
-        const util::mutex_lock lock(own.mutex);
-        if (!own.tasks.empty()) {
-            out = std::move(own.tasks.front());
-            own.tasks.pop_front();
-            return true;
-        }
-    }
-    for (std::size_t hop = 1; hop < queues_.size(); ++hop) {
-        worker_queue& victim = *queues_[(index + hop) % queues_.size()];
-        const util::mutex_lock lock(victim.mutex);
-        if (!victim.tasks.empty()) {
-            out = std::move(victim.tasks.back());
-            victim.tasks.pop_back();
-            obs_steals_->add(1);
-            return true;
-        }
-    }
-    return false;
-}
-
-bool thread_pool::steal_any(unique_task& out)
-{
-    for (std::size_t i = 0; i < queues_.size(); ++i) {
-        worker_queue& victim = *queues_[i];
-        const util::mutex_lock lock(victim.mutex);
-        if (!victim.tasks.empty()) {
-            out = std::move(victim.tasks.back());
-            victim.tasks.pop_back();
-            return true;
-        }
-    }
-    return false;
-}
-
-void thread_pool::worker_loop(std::size_t index)
-{
-    tls_worker_index = index;
     tls_worker_pool = this;
     for (;;) {
-        unique_task task;
-        if (acquire_task(index, task)) {
-            obs_queue_depth_->set(static_cast<std::int64_t>(
-                pending_.fetch_sub(1, std::memory_order_acq_rel) - 1));
-            execute_task(task);
-            continue;
+        std::packaged_task<void()> task;
+        {
+            util::cv_mutex_lock lock(mutex_);
+            while (tasks_.empty() && !stopping_) {
+                wake_.wait(lock);
+            }
+            if (tasks_.empty()) {
+                return; // draining, and nothing is left to run
+            }
+            task = std::move(tasks_.front());
+            tasks_.pop_front();
+            obs_queue_depth_->set(static_cast<std::int64_t>(tasks_.size()));
         }
-        util::cv_mutex_lock lock(sleep_mutex_);
-        // The predicate reads only atomics (no guarded data), so the
-        // predicate overload stays analysis-clean here.
-        wake_.wait(lock, [this] {
-            return pending_.load(std::memory_order_acquire) > 0 ||
-                   stopping_.load(std::memory_order_acquire);
-        });
-        if (stopping_.load(std::memory_order_acquire) &&
-            pending_.load(std::memory_order_acquire) == 0) {
-            return;
-        }
+        execute_task(task);
     }
 }
 
@@ -268,7 +198,7 @@ void thread_pool::parallel_for(std::size_t begin, std::size_t end,
         std::min(worker_count(), block_count > 0 ? block_count - 1 : 0);
     for (std::size_t p = 0; p < participants; ++p) {
         try {
-            enqueue(unique_task([ctl, drain] { drain(*ctl); }));
+            enqueue(std::packaged_task<void()>([ctl, drain] { drain(*ctl); }));
         } catch (const pool_stopped&) {
             // Recruiting raced pool shutdown. Unwinding here would leave
             // already-recruited participants holding `body` past the

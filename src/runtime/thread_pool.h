@@ -1,10 +1,10 @@
-// thread_pool.h -- work-stealing thread pool for the experiment runtime.
+// thread_pool.h -- the thread pool for the experiment runtime.
 //
 // The sweep workload is a bag of coarse, independent, CPU-bound tasks
-// (characterize a benchmark, run a policy ladder), so the pool favors
-// simplicity over lock-free exotica: one deque per worker, owner pops LIFO
-// from the front, idle workers steal FIFO from the back of a victim chosen
-// round-robin. External submissions are striped across the queues.
+// (characterize a benchmark, run a policy ladder): the canonical sweep
+// queues about 150 of them. One deque under one mutex serves that load
+// without contention: workers pop the oldest task from the front, and a
+// helping waiter (run_one_task) pops the newest from the back.
 // `submit` returns a std::future carrying the task's value or exception;
 // `parallel_for` blocks, and while blocked executes its OWN blocks
 // (self-claiming from a shared counter, never unrelated pool tasks), so
@@ -16,13 +16,11 @@
 
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <tuple>
@@ -41,55 +39,18 @@ class latency_histogram;
 
 namespace synts::runtime {
 
-/// Move-only type-erased nullary task. std::function requires copyable
-/// callables, which std::packaged_task is not; this is the minimal
-/// replacement (std::move_only_function is C++23).
-class unique_task {
-public:
-    unique_task() = default;
-
-    template <typename F>
-        requires(!std::is_same_v<std::decay_t<F>, unique_task>)
-    unique_task(F&& f) // NOLINT(google-explicit-constructor)
-        : impl_(std::make_unique<model<std::decay_t<F>>>(std::forward<F>(f)))
-    {
-    }
-
-    /// Runs the task. Requires a non-empty task.
-    void operator()() { impl_->call(); }
-
-    /// True when a callable is held.
-    [[nodiscard]] explicit operator bool() const noexcept { return impl_ != nullptr; }
-
-private:
-    struct callable_base {
-        virtual ~callable_base() = default;
-        virtual void call() = 0;
-    };
-    template <typename F>
-    struct model final : callable_base {
-        explicit model(F f) : fn(std::move(f)) {}
-        void call() override { fn(); }
-        F fn;
-    };
-    std::unique_ptr<callable_base> impl_;
-};
-
 /// Thrown by submit() from a NON-worker thread once the pool's destructor
-/// has begun draining. Before the shutdown gate this race was
-/// documented-unsafe (a task could be enqueued after the workers decided
-/// no work was pending and be stranded, or touch freed queues); now an
-/// external submission either lands before the drain flag -- and is then
-/// guaranteed to execute before join -- or is rejected with this
-/// exception, deterministically. parallel_for() never throws it: a racing
-/// caller just executes every block itself. Pinned by
+/// has begun draining: an external submission either lands before the
+/// drain flag -- and is then guaranteed to execute before join -- or is
+/// rejected with this exception, deterministically. parallel_for() never
+/// throws it: a racing caller just executes every block itself. Pinned by
 /// tests/test_runtime_pool.cpp.
 class pool_stopped : public std::runtime_error {
 public:
     using std::runtime_error::runtime_error;
 };
 
-/// Work-stealing pool of `worker_count` threads.
+/// Pool of `worker_count` threads sharing one task queue.
 class thread_pool {
 public:
     /// `worker_count` 0 picks std::thread::hardware_concurrency() (min 1).
@@ -104,25 +65,24 @@ public:
     /// in CI):
     ///   * every task queued before destruction begins is executed, and a
     ///     task that submit()s a follow-up while the destructor drains is
-    ///     fine -- the follow-up lands on the submitting worker's own queue
-    ///     and workers only exit once no task is pending, so it too runs
-    ///     before join. Chains of such submissions all drain.
-    ///   * submitting from any NON-worker thread concurrently with (or
-    ///     after) destruction used to be documented-unsafe. It is now
-    ///     deterministic: enqueue() checks the drain flag under the same
-    ///     lock the destructor sets it, so a racing external submit either
-    ///     lands before the flag (and its task runs before join) or throws
-    ///     pool_stopped having enqueued nothing. Destroying the pool while
-    ///     an external submitter still holds a reference remains a
-    ///     lifetime bug -- the gate turns the outcome from UB into a
-    ///     thrown exception, it does not make the dangling use correct.
+    ///     fine -- a worker exits only when it finds the queue empty, and
+    ///     the submitting worker is still running, so the follow-up too
+    ///     runs before join. Chains of such submissions all drain.
+    ///   * an external submit racing destruction is deterministic:
+    ///     enqueue() checks the drain flag under the queue lock, which the
+    ///     destructor holds to set it, so the submit either lands before
+    ///     the flag (and its task runs before join) or throws pool_stopped
+    ///     having enqueued nothing. Destroying the pool while an external
+    ///     submitter still holds a reference remains a lifetime bug -- the
+    ///     gate turns the outcome from UB into a thrown exception, it does
+    ///     not make the dangling use correct.
     ~thread_pool();
 
     thread_pool(const thread_pool&) = delete;
     thread_pool& operator=(const thread_pool&) = delete;
 
     /// Number of worker threads.
-    [[nodiscard]] std::size_t worker_count() const noexcept { return queues_.size(); }
+    [[nodiscard]] std::size_t worker_count() const noexcept { return workers_.size(); }
 
     /// Schedules `f(args...)`; the future carries the result or exception.
     /// Throws pool_stopped once the destructor has begun draining.
@@ -137,7 +97,7 @@ public:
                 return std::apply(std::move(fn), std::move(tup));
             });
         std::future<result_type> future = task.get_future();
-        enqueue(unique_task(std::move(task)));
+        enqueue(std::packaged_task<void()>(std::move(task)));
         return future;
     }
 
@@ -152,7 +112,7 @@ public:
                       std::size_t grain = 0);
 
     /// Runs one queued task on the calling thread, if any is available.
-    /// Returns false when every queue is empty. This is the helping
+    /// Returns false when the queue is empty. This is the helping
     /// primitive: anything blocked on a future of this pool should loop
     /// run_one_task() instead of sleeping, so a caller inside a pool worker
     /// can never starve the tasks it is waiting for (sweep_scheduler::run's
@@ -160,41 +120,27 @@ public:
     bool run_one_task();
 
 private:
-    struct worker_queue {
-        util::annotated_mutex mutex{util::lock_rank::pool_queue,
-                                    "thread_pool.worker_queue"};
-        std::deque<unique_task> tasks SYNTS_GUARDED_BY(mutex);
-    };
-
-    void enqueue(unique_task task);
+    /// Pushes `task` and wakes one worker. Throws pool_stopped for a
+    /// submit from outside the pool once the drain has begun.
+    void enqueue(std::packaged_task<void()> task);
     /// Runs `task`, bumping pool.tasks_executed and -- only when
     /// telemetry is enabled -- timing it into the pool.task_ns histogram.
-    void execute_task(unique_task& task);
-    void worker_loop(std::size_t index);
-    /// Pops from own queue front, else steals from a victim's back.
-    bool acquire_task(std::size_t index, unique_task& out);
-    /// Non-worker variant used by helping waiters: steal from anyone.
-    bool steal_any(unique_task& out);
+    void execute_task(std::packaged_task<void()>& task);
+    void worker_loop();
+    /// Sets the drain flag, wakes every worker and joins them.
+    void stop_and_join();
 
-    std::vector<std::unique_ptr<worker_queue>> queues_;
-    std::vector<std::thread> workers_;
-
-    /// The sleep/shutdown gate. Guards no non-atomic data of its own (the
-    /// flags it orders are atomics); it exists so a worker's recheck-then-
-    /// park and enqueue's publish-then-notify are mutually exclusive, and
-    /// so the drain flag flips under the same lock enqueue checks it.
-    /// Ranked below pool_queue: enqueue pushes while holding the gate.
-    util::annotated_mutex sleep_mutex_{util::lock_rank::pool_sleep,
-                                       "thread_pool.sleep"};
+    /// Guards the queue and the drain flag. Workers hold it only to pop or
+    /// to park, never while running a task.
+    util::annotated_mutex mutex_{util::lock_rank::pool_queue, "thread_pool.queue"};
+    std::deque<std::packaged_task<void()>> tasks_ SYNTS_GUARDED_BY(mutex_);
+    bool stopping_ SYNTS_GUARDED_BY(mutex_) = false;
     std::condition_variable_any wake_;
-    std::atomic<std::size_t> pending_{0};
-    std::atomic<std::size_t> next_queue_{0};
-    std::atomic<bool> stopping_{false};
+    std::vector<std::thread> workers_;
 
     // Registry instruments (pool.* taxonomy), resolved once at
     // construction; they aggregate across every pool in the process.
     obs::counter* obs_executed_;
-    obs::counter* obs_steals_;
     obs::counter* obs_enqueued_;
     obs::gauge* obs_queue_depth_;
     obs::latency_histogram* obs_task_ns_;

@@ -13,7 +13,6 @@ namespace synts::util {
 const char* lock_rank_name(lock_rank rank) noexcept
 {
     switch (rank) {
-    case lock_rank::pool_sleep: return "pool_sleep";
     case lock_rank::pool_queue: return "pool_queue";
     case lock_rank::cache_shard: return "cache_shard";
     case lock_rank::workload_registry: return "workload_registry";
@@ -32,9 +31,9 @@ namespace lock_rank_detail {
 
 namespace {
 
-// Deep enough for any real chain (the longest legal chain today is two:
-// pool_sleep -> pool_queue); overflow is reported as its own
-// violation rather than silently dropping entries.
+// Deep enough for any real chain (every row of the table is a leaf today,
+// so no real chain is longer than one lock); overflow is reported as its
+// own violation rather than silently dropping entries.
 constexpr std::size_t max_held = 32;
 
 struct held_entry {

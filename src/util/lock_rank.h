@@ -15,9 +15,8 @@
 //
 //   rank | name              | mutex                            | held while taking
 //   -----+-------------------+----------------------------------+------------------
-//     20 | pool_sleep        | thread_pool::sleep_mutex_        | pool_queue (enqueue's
-//        |                   |                                  | gate+push sequence)
-//     30 | pool_queue        | thread_pool::worker_queue::mutex | (leaf; never two at once)
+//     30 | pool_queue        | thread_pool::mutex_              | (leaf; tasks run
+//        |                   |                                  | outside the lock)
 //     40 | cache_shard       | memo_tier::shard::mutex          | (leaf; factories run
 //        |                   |                                  | outside the shard lock)
 //     60 | workload_registry | workload_registry::mutex_        | (leaf; factories invoked
@@ -65,7 +64,6 @@ namespace synts::util {
 /// Gaps between values are deliberate: a future mutex slots between two
 /// existing ranks without renumbering the table.
 enum class lock_rank : std::uint16_t {
-    pool_sleep = 20,
     pool_queue = 30,
     cache_shard = 40,
     workload_registry = 60,
@@ -89,7 +87,7 @@ namespace lock_rank_detail {
 /// violation aborts (with both mutex names and ranks on stderr) instead of
 /// deadlocking. Strictly ascending: acquiring at a rank <= the top of the
 /// stack is a violation, including equal ranks -- no same-rank nesting
-/// exists in the codebase (the pool never holds two queue locks).
+/// exists in the codebase.
 void note_acquired(lock_rank rank, const char* name) noexcept;
 
 /// Pops `rank` from the calling thread's held stack (topmost matching

@@ -4,7 +4,7 @@
 // profiling, per-interval timing simulation) lives below the runtime layer,
 // so it cannot name runtime::thread_pool directly. Instead each phase takes
 // a `parallel_for_fn`: a type-erased "run body(i) for every i in [0, count)"
-// executor. The runtime adapts its work-stealing pool to this signature
+// executor. The runtime adapts its thread pool to this signature
 // (runtime::make_parallel_for); an empty function means serial execution.
 //
 // Contract for implementations: body(i) is invoked exactly once per index,

@@ -21,9 +21,9 @@
 //   - use the scoped guards below, never std::lock_guard/std::unique_lock;
 //   - bind a local reference first when locking through an indirection,
 //     so the guard expression and the member accesses name the same
-//     object:  worker_queue& queue = *queues_[i];
-//              const util::mutex_lock lock(queue.mutex);
-//              queue.tasks.push_back(...);
+//     object:  shard& home = *shards_[i];
+//              const util::mutex_lock lock(home.mutex);
+//              home.entries.clear();
 //   - waits go through cv_mutex_lock + std::condition_variable_any, and
 //     the wait condition is re-checked in an explicit loop rather than a
 //     predicate lambda (the analysis cannot see that libstdc++ invokes the

@@ -190,7 +190,7 @@ TEST(obs_health, concurrent_notes_and_logs_are_race_free)
                 hist.record(1000);
                 if (monitor.is_outlier(1000 + static_cast<std::uint64_t>(i))) {
                     monitor.log(1000 + static_cast<std::uint64_t>(i),
-                                "t" + std::to_string(t));
+                                std::string("t").append(std::to_string(t)));
                 }
             }
         });

@@ -1,8 +1,9 @@
 // Tests for the sweep progress frames and the --status fleet view: shard
 // runs publish shard_progress frames (and unsharded store-backed runs
 // publish as shard 0 of 1) whose counts match the completion manifests
-// exactly, and render_store_status reconstructs per-shard and total
-// progress from nothing but the store's manifest bucket.
+// exactly, and the --status view (render_watch_report over
+// collect_store_status) reconstructs per-shard and total progress from
+// nothing but the store's manifest bucket.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "helpers.h"
 #include "runtime/experiment_cache.h"
+#include "runtime/fleet_watch.h"
 #include "runtime/sweep.h"
 #include "runtime/sweep_io.h"
 #include "runtime/thread_pool.h"
@@ -79,6 +81,12 @@ std::optional<runtime::shard_progress> load_progress(const storage::artifact_sto
     return storage::decode_shard_progress(*frame);
 }
 
+/// What `synts_runner --status` prints for `store`.
+std::string render_status(const storage::artifact_store& store)
+{
+    return runtime::render_watch_report(runtime::collect_store_status(store));
+}
+
 TEST(obs_status, shard_run_publishes_progress_matching_its_manifest)
 {
     const runtime::sweep_spec spec = tiny_spec();
@@ -127,7 +135,7 @@ TEST(obs_status, status_view_tracks_a_fleet_from_partial_to_complete)
         (void)runtime::sweep_scheduler(pool, cache)
             .run(spec, {&store, false, spec.shard(0, 2)});
     }
-    const std::string partial = runtime::render_store_status(store);
+    const std::string partial = render_status(store);
     EXPECT_NE(partial.find("sweep " + digest_text + ": 2 shards, 6 cells"),
               std::string::npos)
         << partial;
@@ -144,7 +152,7 @@ TEST(obs_status, status_view_tracks_a_fleet_from_partial_to_complete)
         (void)runtime::sweep_scheduler(pool, cache)
             .run(spec, {&store, false, spec.shard(1, 2)});
     }
-    const std::string complete = runtime::render_store_status(store);
+    const std::string complete = render_status(store);
     EXPECT_NE(complete.find("shard 0/2: 4/4 (100.0%) complete"), std::string::npos)
         << complete;
     EXPECT_NE(complete.find("shard 1/2: 2/2 (100.0%) complete"), std::string::npos)
@@ -169,7 +177,7 @@ TEST(obs_status, unsharded_store_run_publishes_as_shard_zero_of_one)
     EXPECT_EQ(progress->cells_owned, 6u);
     EXPECT_EQ(progress->cells_done, 6u);
 
-    const std::string status = runtime::render_store_status(store);
+    const std::string status = render_status(store);
     EXPECT_NE(status.find("sweep " + std::to_string(digest) + ": 1 shard"),
               std::string::npos)
         << status;
@@ -217,7 +225,7 @@ TEST(obs_status, status_of_empty_store_reports_no_sweeps)
 {
     temp_dir dir;
     const storage::artifact_store store(dir.path);
-    EXPECT_EQ(runtime::render_store_status(store), "no sweeps recorded\n");
+    EXPECT_EQ(render_status(store), "no sweeps recorded\n");
 }
 
 TEST(obs_status, store_list_enumerates_manifest_bucket_digests_sorted)

@@ -76,13 +76,13 @@ TEST(obs_trace, chunk_overflow_preserves_every_event_in_order)
     recorder.set_enabled(true);
     constexpr std::size_t count = 3000; // > 2 chunks of 1024
     for (std::size_t i = 0; i < count; ++i) {
-        recorder.instant_event("e" + std::to_string(i), i);
+        recorder.instant_event(std::string("e").append(std::to_string(i)), i);
     }
     ASSERT_EQ(recorder.event_count(), count);
     const std::vector<trace_recorder::event> events = recorder.events();
     ASSERT_EQ(events.size(), count);
     for (std::size_t i = 0; i < count; ++i) {
-        EXPECT_EQ(events[i].name, "e" + std::to_string(i));
+        EXPECT_EQ(events[i].name, std::string("e").append(std::to_string(i)));
         EXPECT_EQ(events[i].ts_ns, i);
     }
 }

@@ -15,7 +15,6 @@
 #include "helpers.h"
 #include "runtime/fleet_watch.h"
 #include "runtime/sweep.h"
-#include "runtime/sweep_io.h"
 #include "storage/artifact_store.h"
 #include "storage/serialize.h"
 
@@ -209,17 +208,17 @@ TEST(runtime_fleet_watch, collect_store_status_exposes_frame_age)
     publish_progress(store, 2, 0, 4, 1);
     age_progress_frame(store, 2, 0, 20.0);
 
-    const std::vector<runtime::sweep_status> sweeps =
-        runtime::collect_store_status(store);
-    ASSERT_EQ(sweeps.size(), 1u);
-    ASSERT_EQ(sweeps[0].shards.size(), 2u);
-    ASSERT_TRUE(sweeps[0].shards[0].frame_age_ns.has_value());
+    const runtime::watch_report report = runtime::collect_store_status(store);
+    ASSERT_EQ(report.sweeps.size(), 1u);
+    const std::vector<runtime::watch_shard>& shards = report.sweeps[0].shards;
+    ASSERT_EQ(shards.size(), 2u);
+    ASSERT_TRUE(shards[0].status.frame_age_ns.has_value());
     // Age is a real filesystem timestamp difference: at least the injected
     // 20 s, and not absurdly larger.
-    EXPECT_GE(*sweeps[0].shards[0].frame_age_ns, 20'000'000'000ull);
-    EXPECT_LT(*sweeps[0].shards[0].frame_age_ns, 120'000'000'000ull);
+    EXPECT_GE(*shards[0].status.frame_age_ns, 20'000'000'000ull);
+    EXPECT_LT(*shards[0].status.frame_age_ns, 120'000'000'000ull);
     // The unreported shard has no frame to age.
-    EXPECT_FALSE(sweeps[0].shards[1].frame_age_ns.has_value());
+    EXPECT_FALSE(shards[1].status.frame_age_ns.has_value());
 }
 
 } // namespace

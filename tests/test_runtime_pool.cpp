@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <numeric>
@@ -161,8 +162,8 @@ TEST(runtime_pool, nested_parallel_for_does_not_deadlock_single_worker)
 
 TEST(runtime_pool, submissions_from_tasks_are_stealable)
 {
-    // Tasks submitted from inside a worker go to that worker's own queue;
-    // other workers must still be able to steal them.
+    // Tasks submitted from inside a worker join the one shared queue, so
+    // the other workers run them while the submitter polls their futures.
     thread_pool pool(4);
     std::atomic<int> total{0};
     auto root = pool.submit([&pool, &total] {
@@ -183,6 +184,40 @@ TEST(runtime_pool, submissions_from_tasks_are_stealable)
     EXPECT_EQ(total.load(), 64);
 }
 
+TEST(runtime_pool, queue_depth_and_task_counts_settle_after_join)
+{
+    // The pool.queue_depth gauge is set under the queue lock on every push
+    // and pop, so once the pool has joined it reads the empty queue; and
+    // every task enqueued -- parallel_for participants and worker
+    // self-submits made while the destructor drains -- was executed.
+    synts::obs::metrics_registry& registry = synts::obs::metrics_registry::global();
+    registry.reset();
+    std::atomic<int> leaves{0};
+    constexpr int outer = 8;
+    constexpr std::size_t inner = 64;
+    {
+        thread_pool pool(3);
+        for (int i = 0; i < outer; ++i) {
+            (void)pool.submit([&pool, &leaves] {
+                pool.parallel_for(
+                    0, inner,
+                    [&pool, &leaves](std::size_t j) {
+                        if (j % 16 == 0) {
+                            (void)pool.submit([&leaves] { leaves.fetch_add(1); });
+                        }
+                        leaves.fetch_add(1);
+                    },
+                    4);
+            });
+        }
+    } // joins with the nested loops and their follow-ups mid-flight
+    EXPECT_EQ(leaves.load(), outer * static_cast<int>(inner + inner / 16));
+    EXPECT_EQ(registry.gauge_at("pool.queue_depth").value(), 0);
+    const std::uint64_t enqueued = registry.counter_at("pool.tasks_enqueued").value();
+    EXPECT_GE(enqueued, static_cast<std::uint64_t>(outer) * (1 + inner / 16));
+    EXPECT_EQ(enqueued, registry.counter_at("pool.tasks_executed").value());
+}
+
 TEST(runtime_pool, destructor_drains_queued_tasks)
 {
     std::atomic<int> done{0};
@@ -198,9 +233,9 @@ TEST(runtime_pool, destructor_drains_queued_tasks)
 TEST(runtime_pool, tasks_submitted_during_destructor_drain_still_run)
 {
     // Shutdown contract: a running task may submit() follow-ups while the
-    // destructor drains; they land on the submitting worker's own queue and
-    // workers only exit once nothing is pending, so every link of the chain
-    // executes before join. Regression-pins the drain ordering (this suite
+    // destructor drains; a worker exits only when it finds the queue empty,
+    // and the submitting worker is still running, so every link of the
+    // chain executes before join. Regression-pins the drain ordering (this suite
     // runs under TSan in CI, so it also pins the absence of a rebuilt
     // submit/stop race).
     std::atomic<int> chain{0};

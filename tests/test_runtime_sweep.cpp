@@ -286,20 +286,24 @@ TEST(runtime_sweep, registry_counters_match_sweep_result)
 
 TEST(runtime_sweep, name_parsers_are_forgiving)
 {
-    EXPECT_EQ(runtime::parse_benchmark("lu-contig"), workload::benchmark_id::lu_contig);
-    EXPECT_EQ(runtime::parse_benchmark("LU_CONTIG"), workload::benchmark_id::lu_contig);
-    EXPECT_EQ(runtime::parse_benchmark("nonesuch"), std::nullopt);
+    const workload::workload_registry& registry = workload::workload_registry::global();
+    const workload::workload_key lu_contig =
+        workload::builtin_key(workload::benchmark_id::lu_contig);
+    EXPECT_EQ(runtime::parse_workload(registry, "lu-contig"), lu_contig);
+    EXPECT_EQ(runtime::parse_workload(registry, "LU_CONTIG"), lu_contig);
+    EXPECT_EQ(runtime::parse_workload(registry, "nonesuch"), std::nullopt);
     EXPECT_EQ(runtime::parse_stage("SimpleALU"), circuit::pipe_stage::simple_alu);
     EXPECT_EQ(runtime::parse_stage("simple_alu"), circuit::pipe_stage::simple_alu);
     EXPECT_EQ(runtime::parse_policy("per-core-ts"), policy_kind::per_core_ts);
     EXPECT_EQ(runtime::parse_policy("Per-core TS"), policy_kind::per_core_ts);
     EXPECT_EQ(runtime::parse_policy("nonesuch"), std::nullopt);
-    EXPECT_EQ(runtime::parse_benchmark_list("reported").size(), 7u);
-    EXPECT_EQ(runtime::parse_benchmark_list("all").size(), workload::benchmark_count);
+    EXPECT_EQ(runtime::parse_workload_list(registry, "reported").size(), 7u);
+    EXPECT_EQ(runtime::parse_workload_list(registry, "splash2").size(),
+              workload::benchmark_count);
     EXPECT_EQ(runtime::parse_stage_list("all").size(), circuit::pipe_stage_count);
     EXPECT_EQ(runtime::parse_policy_list("all").size(), core::policy_count);
     EXPECT_EQ(runtime::parse_policy_list("nominal,no_ts").size(), 2u);
-    EXPECT_THROW((void)runtime::parse_benchmark_list("fmm,bogus"),
+    EXPECT_THROW((void)runtime::parse_workload_list(registry, "fmm,bogus"),
                  std::invalid_argument);
 }
 

@@ -1,7 +1,7 @@
 // synts_runner -- batched sweep CLI over the experiment runtime.
 //
 // Expands a declarative sweep spec (workload set x stage set x theta
-// ladder x policy set) onto the work-stealing thread pool, memoizing
+// ladder x policy set) onto the thread pool, memoizing
 // characterizations in the process-wide experiment cache, and emits the
 // aggregate as a console table plus optional CSV / JSON files. Workloads
 // are resolved through the workload registry, so the sweep axis covers the
@@ -454,7 +454,9 @@ int main(int argc, char** argv)
                                     : !store_dir.empty() ? store_dir
                                                          : ".synts-store";
             const storage::artifact_store status_store(dir);
-            std::fputs(runtime::render_store_status(status_store).c_str(), stdout);
+            const std::string view =
+                runtime::render_watch_report(runtime::collect_store_status(status_store));
+            std::fputs(view.c_str(), stdout);
             return 0;
         }
 
@@ -536,17 +538,13 @@ int main(int argc, char** argv)
                 }
                 std::printf("%zu cells in %.2f s on %zu workers "
                             "(stage cache: %llu hits, %llu misses; program cache: "
-                            "%llu hits, %llu misses; %llu steals)\n",
+                            "%llu hits, %llu misses)\n",
                             result.cells.size(), result.wall_seconds,
                             pool.worker_count(),
                             static_cast<unsigned long long>(result.cache_hits),
                             static_cast<unsigned long long>(result.cache_misses),
                             static_cast<unsigned long long>(result.program_cache_hits),
-                            static_cast<unsigned long long>(result.program_cache_misses),
-                            static_cast<unsigned long long>(
-                                obs::metrics_registry::global()
-                                    .counter_at("pool.steals")
-                                    .value()));
+                            static_cast<unsigned long long>(result.program_cache_misses));
                 if (store != nullptr) {
                     std::printf("store %s: %llu artifact disk hits, %llu computes, "
                                 "%llu cells restored, %llu cells persisted\n",
