@@ -416,7 +416,6 @@ int main()
             (void)experiment->interval_count();
         }
         cache_shared_ok = cache_shared_ok && traffic.program.misses.load() == 1 &&
-                          traffic.program_computes.load() == 1 &&
                           traffic.stage.misses.load() == circuit::pipe_stage_count;
     };
     constexpr int kRounds = 2;

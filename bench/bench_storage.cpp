@@ -3,15 +3,15 @@
 //
 // Three phases:
 //   1. codec throughput: serialize / deserialize MB/s on a real program
-//      artifact frame (the multi-megabyte object the disk tier moves);
-//   2. cold vs warm sweep: the same spec through a fresh store directory
-//      (cold: compute + write-back), then through fresh caches sharing that
-//      directory -- warm (artifacts off disk, cells recomputed) and
-//      resumed (cells restored outright);
-//   3. verification: the warm and resumed runs must perform ZERO trace
-//      generations / profiler runs and reproduce the cold cells bit for
-//      bit. Any violation exits non-zero so CI fails instead of recording
-//      a broken artifact.
+//      artifact frame (the largest object the codec handles);
+//   2. cold vs resumed sweep: the same spec through a fresh store
+//      directory (cold: compute + checkpoint every cell), then through a
+//      fresh cache sharing that directory with resume on (cells restored
+//      outright);
+//   3. verification: the resumed run must perform ZERO trace generations /
+//      profiler runs and reproduce the cold cells bit for bit. Any
+//      violation exits non-zero so CI fails instead of recording a broken
+//      artifact.
 //
 // Output: one JSON document on stdout (scripts/run_benches.sh captures it
 // as BENCH_storage.json). Human-readable progress goes to stderr.
@@ -86,7 +86,7 @@ int main()
         storage::encode(storage::decode_program_artifacts(frame)) == frame;
     ok = ok && codec_identical;
 
-    // -- phase 2: cold vs warm sweeps ---------------------------------------
+    // -- phase 2: cold vs resumed sweeps ------------------------------------
     const fs::path store_dir =
         fs::temp_directory_path() /
         ("synts_bench_storage_" + std::to_string(::getpid()));
@@ -99,19 +99,16 @@ int main()
     runtime::thread_pool pool;
     const auto timed_run = [&](bool resume) {
         runtime::experiment_cache cache;
-        auto store = std::make_shared<storage::artifact_store>(store_dir);
-        cache.attach_store(store);
+        storage::artifact_store store(store_dir);
         const auto start = std::chrono::steady_clock::now();
-        runtime::sweep_result result = runtime::sweep_scheduler(pool, cache)
-                                           .run(spec, {store.get(), resume});
+        runtime::sweep_result result =
+            runtime::sweep_scheduler(pool, cache).run(spec, {&store, resume});
         result.wall_seconds = seconds_since(start);
         return result;
     };
 
     std::fprintf(stderr, "== cold sweep (empty store)\n");
     const runtime::sweep_result cold = timed_run(false);
-    std::fprintf(stderr, "== warm sweep (artifacts off disk)\n");
-    const runtime::sweep_result warm = timed_run(false);
     std::fprintf(stderr, "== resumed sweep (cells restored)\n");
     const runtime::sweep_result resumed = timed_run(true);
 
@@ -119,13 +116,10 @@ int main()
     fs::remove_all(store_dir, ec);
 
     // -- phase 3: verification ----------------------------------------------
-    const bool warm_zero_computes = warm.program_computes == 0;
-    const bool warm_identical = same_cells(cold, warm);
     const bool resumed_zero_traffic =
         resumed.program_computes == 0 && resumed.cells_loaded == cold.cells.size();
     const bool resumed_identical = same_cells(cold, resumed);
-    ok = ok && warm_zero_computes && warm_identical && resumed_zero_traffic &&
-         resumed_identical;
+    ok = ok && resumed_zero_traffic && resumed_identical;
 
     std::printf("{\n");
     std::printf("  \"frame_mb\": %.3f,\n", frame_mb);
@@ -134,15 +128,9 @@ int main()
     std::printf("  \"codec_round_trip_identical\": %s,\n",
                 codec_identical ? "true" : "false");
     std::printf("  \"cold_seconds\": %.3f,\n", cold.wall_seconds);
-    std::printf("  \"warm_seconds\": %.3f,\n", warm.wall_seconds);
     std::printf("  \"resumed_seconds\": %.3f,\n", resumed.wall_seconds);
-    std::printf("  \"warm_speedup\": %.2f,\n", cold.wall_seconds / warm.wall_seconds);
     std::printf("  \"resumed_speedup\": %.2f,\n",
                 cold.wall_seconds / resumed.wall_seconds);
-    std::printf("  \"warm_program_computes\": %llu,\n",
-                static_cast<unsigned long long>(warm.program_computes));
-    std::printf("  \"warm_cells_bit_identical\": %s,\n",
-                warm_identical ? "true" : "false");
     std::printf("  \"resumed_cells_restored\": %llu,\n",
                 static_cast<unsigned long long>(resumed.cells_loaded));
     std::printf("  \"resumed_cells_bit_identical\": %s,\n",

@@ -5,7 +5,7 @@
 # characterization phase-timing bench, whose own JSON (per-pipeline-phase
 # serial vs parallel timings plus the bit-identity verdict) is captured as
 # BENCH_characterization.json, then the persistent-store bench
-# (serialize/deserialize throughput plus cold vs warm vs resumed sweep
+# (serialize/deserialize throughput plus cold vs resumed sweep
 # timings and the zero-compute / bit-identity verdicts) as
 # BENCH_storage.json, then the telemetry overhead gate (disabled
 # instrumentation must cost <= 2% over bare) as BENCH_obs.json, then the
@@ -98,9 +98,9 @@ else
     echo "skip bench_characterization: not built" >&2
 fi
 
-# -- persistent store: cold vs warm ------------------------------------------
-# bench_storage emits its own JSON (codec throughput, cold/warm/resumed
-# sweep timings) on stdout and verifies zero-compute warm runs plus cell
+# -- persistent store: cold vs resumed ---------------------------------------
+# bench_storage emits its own JSON (codec throughput, cold/resumed sweep
+# timings) on stdout and verifies a zero-compute resumed run plus cell
 # bit-identity itself, exiting non-zero on violation.
 storage_bench="${build_dir}/bench_storage"
 storage_out="BENCH_storage.json"

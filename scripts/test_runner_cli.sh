@@ -5,8 +5,9 @@
 # Pins the argument-parsing hardening (each bad invocation must produce a
 # one-line usage error on stderr and exit 2 -- never a crash or a silent
 # default) and the registry surface: --list-benchmarks enumerates the ten
-# SPLASH-2 profiles plus the scenario families, scenario sweeps run through
-# the full three-tier cache, a warm re-run is byte-identical with zero
+# SPLASH-2 profiles plus the scenario families, scenario sweeps run
+# through the cache and the checkpoint store, a warm re-run is
+# byte-identical, a warm --resume restores every cell with zero
 # program-tier computes, and a killed store-backed sweep resumes to the
 # same bytes.
 set -u
@@ -106,17 +107,22 @@ else
     failures=$((failures + 1))
 fi
 
-# A scenario-family sweep runs end to end through the three-tier cache:
-# cold run populates the store, the warm re-run must do zero program-tier
-# computes and emit byte-identical JSON.
+# A scenario-family sweep runs end to end through the cache and the
+# checkpoint store: the cold run populates the store, the warm re-run
+# recomputes and must emit byte-identical JSON, and a warm --resume must
+# restore both cells with zero program-tier computes.
 STORE="$WORK/store"
 COLD="$WORK/cold.json"
 WARM="$WORK/warm.json"
+RESUMED="$WORK/resumed.json"
 STATS="$WORK/stats.json"
 if "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal,synts_offline \
         --store="$STORE" --quiet --json="$COLD" >/dev/null 2>&1 &&
    "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal,synts_offline \
-        --store="$STORE" --quiet --json="$WARM" --cache-stats=json >"$STATS" 2>&1; then
+        --store="$STORE" --quiet --json="$WARM" >/dev/null 2>&1 &&
+   "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal,synts_offline \
+        --store="$STORE" --resume --quiet --json="$RESUMED" --cache-stats=json \
+        >"$STATS" 2>&1; then
     ok=1
     # The volatile `meta` line (timestamp, host) is excluded from the
     # byte-identity contract by design: it rides on its own line.
@@ -124,12 +130,17 @@ if "$RUNNER" --benchmarks=lock_ladder --stages=simple_alu --policies=nominal,syn
         echo "FAIL scenario_sweep: warm JSON differs from cold" >&2
         ok=0
     fi
+    if ! cmp -s <(grep -v '"meta"' "$COLD") <(grep -v '"meta"' "$RESUMED"); then
+        echo "FAIL scenario_sweep: resumed JSON differs from cold" >&2
+        ok=0
+    fi
     if ! grep -q '"meta": {"schema_version": 1, "generated_utc": "' "$COLD"; then
         echo "FAIL scenario_sweep: cold JSON carries no meta stamp" >&2
         ok=0
     fi
-    if ! grep -q '"program_computes": 0' "$STATS"; then
-        echo "FAIL scenario_sweep: warm run recomputed program artifacts:" >&2
+    if ! grep -q '"checkpoint": {"hits": 2,' "$STATS" ||
+       ! grep -q '"program_computes": 0' "$STATS"; then
+        echo "FAIL scenario_sweep: warm --resume did not restore every cell:" >&2
         cat "$STATS" >&2
         ok=0
     fi

@@ -67,20 +67,6 @@ struct program_artifacts {
     /// (same thread count, same interval count per thread). Throws
     /// std::logic_error on violation.
     void validate() const;
-
-    /// Provenance check for artifacts of EXTERNAL origin (deserialized from
-    /// an artifact store, handed across an API boundary): true only when
-    /// the stamped provenance says these artifacts were produced for
-    /// exactly the workload of `expected_workload` (name and identity
-    /// digest) with `thread_count` threads under
-    /// `expected_workload_digest` (seed + core model, see
-    /// core::workload_digest), and the trace agrees with the stamp. A
-    /// digest mismatch means "not the artifacts you asked for" -- loaders
-    /// must treat it as a cache miss and rebuild, never serve the data.
-    [[nodiscard]] bool
-    provenance_matches(const workload::workload_key& expected_workload,
-                       std::size_t expected_thread_count,
-                       std::uint64_t expected_workload_digest) const noexcept;
 };
 
 /// Produces program_artifacts: workload generation plus architectural

@@ -1,4 +1,4 @@
-// experiment_cache.h -- multi-tier, process-wide memoization of the staged
+// experiment_cache.h -- two-tier, process-wide memoization of the staged
 // characterization pipeline.
 //
 // benchmark_experiment construction is the heavyweight step of every figure
@@ -15,17 +15,13 @@
 //   stage tier    (benchmark, stage, digest)   -> benchmark_experiment
 //       the per-stage characterization + config space + error models,
 //       constructed FROM the program tier's artifacts.
-//   disk tier     (optional; attach_store)     -> storage::artifact_store
-//       a process-SURVIVING tier below the program tier. A program-tier
-//       miss falls through memory -> disk -> compute: the store is probed
-//       for a serialized artifact frame keyed by the same program_key
-//       digest; a decodable frame whose stamped provenance matches the
-//       request is adopted (a disk hit -- no trace generation, no profiler
-//       run), anything else (absent, truncated, bit-flipped, wrong
-//       version, wrong digest) counts as a disk miss and the freshly
-//       computed artifacts are written back atomically. Deserialized
-//       artifacts are bit-identical to computed ones, so the tier never
-//       changes what a key maps to -- it only changes how fast.
+//
+// Only the memory tiers memoize. A store attached with attach_store is not
+// a cache tier: it carries the sweep's cell checkpoints (sweep_scheduler
+// reads it through store()), and a program-tier miss always computes --
+// regenerating a program's artifacts is no slower than loading and
+// decoding their multi-MB frame, and a store-backed sweep resumes from its
+// finished cells, not from artifacts.
 //
 // Both tiers use the same discipline:
 //
@@ -100,8 +96,8 @@ struct experiment_key {
 
 /// Program-tier key: what uniquely determines the stage-independent
 /// artifacts (see experiment_config::workload_digest()). Its digest() is
-/// also the persistent store key of the artifact frame, so it must stay
-/// stable across processes (both fields already are).
+/// stable across processes (both fields already are), so it also keys a
+/// program frame in the store's program bucket.
 struct program_key {
     workload::workload_key workload;
     std::uint64_t workload_digest = 0;
@@ -134,18 +130,11 @@ struct tier_traffic {
 /// and the caller's sink, and the sink sees exactly the traffic of the
 /// calls made with it. Waiting on another caller's in-flight construction
 /// counts as a hit here (this caller was served without doing the work);
-/// the constructing caller owns the miss and any disk traffic / compute it
-/// triggers.
+/// the constructing caller owns the miss, and every program-tier miss is
+/// exactly one trace generation + profiler run.
 struct cache_traffic {
     tier_traffic stage;
     tier_traffic program;
-    std::atomic<std::uint64_t> disk_hits{0};
-    std::atomic<std::uint64_t> disk_misses{0};
-    /// Times the expensive pipeline (trace generation + architectural
-    /// profiling) ran on behalf of this caller. Counted directly at the
-    /// compute site -- never derived by subtracting counters, so it cannot
-    /// wrap however the windows overlap.
-    std::atomic<std::uint64_t> program_computes{0};
 };
 
 /// One sharded, mutex-striped shared-future memo level. Key must provide
@@ -300,24 +289,23 @@ public:
 
     /// Returns the cached stage-independent artifacts for
     /// (workload, config.workload_digest()), constructing them on this
-    /// thread if absent. With a store attached, a memory miss probes the
-    /// disk tier before computing (see file comment). `traffic` as above.
+    /// thread if absent. `traffic` as above.
     [[nodiscard]] program_ptr
     get_or_create_program(const workload::workload_key& workload,
                           const core::experiment_config& config = {},
                           thread_pool* pool = nullptr,
                           cache_traffic* traffic = nullptr);
 
-    /// Attaches (or, with nullptr, detaches) the persistent disk tier.
-    /// Not synchronized against in-flight lookups: attach before handing
-    /// the cache to workers. The store may be shared with other caches and
-    /// processes; see artifact_store for the torn-write guarantees.
+    /// Attaches (or, with nullptr, detaches) the checkpoint store that
+    /// sweep_scheduler uses when its sweep_options name none. The cache
+    /// itself never reads or writes it. Not synchronized against in-flight
+    /// sweeps: attach before handing the cache to workers.
     void attach_store(std::shared_ptr<storage::artifact_store> store) noexcept
     {
         store_ = std::move(store);
     }
 
-    /// The attached disk tier, or nullptr.
+    /// The attached checkpoint store, or nullptr.
     [[nodiscard]] const std::shared_ptr<storage::artifact_store>& store() const noexcept
     {
         return store_;
@@ -342,15 +330,10 @@ private:
     std::shared_ptr<storage::artifact_store> store_;
 
     // Registry instruments (cache.tier<N>.* taxonomy: tier1 = stage memo,
-    // tier2 = program memo, tier3 = disk). memo_tier bumps the hit/miss
-    // counters of tiers 1 and 2; these cover the disk tier, the compute
-    // count, and the gated latency histograms.
-    obs::counter* obs_disk_hits_;
-    obs::counter* obs_disk_misses_;
-    obs::counter* obs_computes_;
+    // tier2 = program memo). memo_tier bumps the hit/miss counters; these
+    // are the gated construction-latency histograms.
     obs::latency_histogram* obs_stage_build_ns_;
     obs::latency_histogram* obs_compute_ns_;
-    obs::latency_histogram* obs_disk_load_ns_;
 };
 
 } // namespace synts::runtime

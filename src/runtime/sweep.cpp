@@ -464,9 +464,7 @@ sweep_result sweep_scheduler::run(const sweep_spec& spec,
     result.cache_misses = traffic.stage.misses.load(std::memory_order_relaxed);
     result.program_cache_hits = traffic.program.hits.load(std::memory_order_relaxed);
     result.program_cache_misses = traffic.program.misses.load(std::memory_order_relaxed);
-    result.disk_hits = traffic.disk_hits.load(std::memory_order_relaxed);
-    result.disk_misses = traffic.disk_misses.load(std::memory_order_relaxed);
-    result.program_computes = traffic.program_computes.load(std::memory_order_relaxed);
+    result.program_computes = result.program_cache_misses;
     result.checkpointing = store != nullptr;
     result.cells_loaded = cells_loaded.load(std::memory_order_relaxed);
     result.cells_stored = cells_stored.load(std::memory_order_relaxed);

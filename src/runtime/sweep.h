@@ -146,16 +146,12 @@ struct sweep_result {
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     /// Program-tier (shared artifacts) cache traffic attributable to this
-    /// sweep. misses == lookups not served by memory; of those, disk_hits
-    /// were served by the persistent store and program_computes actually
-    /// generated the trace and ran the profiler.
+    /// sweep.
     std::uint64_t program_cache_hits = 0;
     std::uint64_t program_cache_misses = 0;
-    /// Disk-tier (persistent artifact store) traffic attributable to this
-    /// sweep; both zero when no store is attached to the cache.
-    std::uint64_t disk_hits = 0;
-    std::uint64_t disk_misses = 0;
-    /// Trace generations + profiler runs this sweep actually performed.
+    /// Trace generations + profiler runs this sweep actually performed:
+    /// every program-tier miss is one compute, so this equals
+    /// program_cache_misses.
     std::uint64_t program_computes = 0;
     /// True when the run had a checkpoint store (sweep_options::store).
     bool checkpointing = false;
@@ -196,20 +192,18 @@ struct sweep_options {
     }
 
     /// Checkpoint store override. When null (the default), the run uses
-    /// the store attached to the scheduler's experiment_cache -- attaching
-    /// once via experiment_cache::attach_store enables BOTH the artifact
-    /// disk tier and cell checkpointing, so the feature cannot be silently
-    /// half-wired. When set, every computed cell is persisted (atomic
-    /// write-back) as it finishes, keyed on (spec digest, cell index) -- a
-    /// killed sweep leaves its finished cells behind. Must outlive the run.
+    /// the store attached to the scheduler's experiment_cache
+    /// (experiment_cache::attach_store), if any. With a store, every
+    /// computed cell is persisted (atomic write-back) as it finishes, keyed
+    /// on (spec digest, cell index) -- a killed sweep leaves its finished
+    /// cells behind. Must outlive the run.
     storage::artifact_store* store = nullptr;
     /// With `store`: cells already materialized (decodable, matching
     /// (benchmark, stage, policy)) are adopted instead of recomputed, so a
     /// restarted sweep re-runs only the missing cells. A pair whose every
     /// cell is checkpointed skips its characterization entirely. Off by
     /// default so a warm re-run still exercises (and thus re-verifies) the
-    /// evaluation path -- it then recomputes cells from disk-tier
-    /// artifacts, bit-identically, with zero trace generations.
+    /// whole pipeline -- it recomputes every cell, bit-identically.
     bool resume = false;
     /// When set, the run computes ONLY the pairs the shard owns (see
     /// sweep_spec::shard), checkpoints them under their global cell

@@ -257,7 +257,6 @@ std::string render_cache_stats(const sweep_result& result, cache_stats_format fo
     const row rows[] = {
         {"program", result.program_cache_hits, result.program_cache_misses},
         {"stage", result.cache_hits, result.cache_misses},
-        {"disk", result.disk_hits, result.disk_misses},
         {"checkpoint", result.cells_loaded, result.cells_missed()},
     };
     std::ostringstream out;
@@ -277,9 +276,8 @@ std::string render_cache_stats(const sweep_result& result, cache_stats_format fo
     }
     case cache_stats_format::csv:
         // Strictly (tier, hits, misses) rows; the compute count is not a
-        // tier and is derivable as program.misses - disk.hits, so it is
-        // omitted rather than bent into the schema (table and JSON carry
-        // it explicitly).
+        // tier and equals program.misses, so it is omitted rather than bent
+        // into the schema (table and JSON carry it explicitly).
         out << "tier,hits,misses\n";
         for (const row& r : rows) {
             out << r.tier << ',' << r.hits << ',' << r.misses << '\n';

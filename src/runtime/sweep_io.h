@@ -64,12 +64,11 @@ void write_sweep_json(const sweep_result& result, std::ostream& out,
 enum class cache_stats_format { table, csv, json };
 
 /// Hit/miss counts of every cache tier attributable to `result` -- program
-/// artifacts, stage experiments, the persistent disk tier, and sweep-cell
-/// checkpoints (hits = cells restored, misses = cells computed) -- plus
-/// the number of program-tier computes (trace generations + profiler
-/// runs), as a console table, CSV rows, or a JSON object (the runner's
-/// --cache-stats flag). Disk and checkpoint rows read 0 when no store is
-/// attached.
+/// artifacts, stage experiments, and sweep-cell checkpoints (hits = cells
+/// restored, misses = cells computed) -- plus the number of program-tier
+/// computes (trace generations + profiler runs), as a console table, CSV
+/// rows, or a JSON object (the runner's --cache-stats flag). The
+/// checkpoint row reads 0 when no store is attached.
 [[nodiscard]] std::string render_cache_stats(const sweep_result& result,
                                              cache_stats_format format);
 

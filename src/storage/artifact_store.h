@@ -1,12 +1,12 @@
-// artifact_store.h -- the on-disk third cache tier.
+// artifact_store.h -- the on-disk checkpoint store of sweeps.
 //
 // A content-addressed blob store for serialized artifacts, shared by every
 // process pointed at the same root directory. Layout:
 //
 //   root/v<format_version>/<bucket>/<hh>/<16-hex-digest>.bin
 //
-// where <bucket> groups payload kinds ("program" for program_artifacts,
-// "cell" for finished sweep cells), <hh> is the digest's top byte in hex
+// where <bucket> groups payload kinds ("cell" for finished sweep cells,
+// "manifest" for shard layouts and progress), <hh> is the digest's top byte in hex
 // (256-way directory sharding, so huge stores never degenerate into one
 // flat directory), and the file is a self-verifying storage::serialize
 // frame. The format version is part of the PATH: bumping it makes every
@@ -19,11 +19,11 @@
 // both frames are identical by construction (deterministic pipeline), and
 // rename-over-existing simply replaces like with like. The store itself is
 // dumb on purpose -- it moves bytes and never decodes them; typed
-// validation (checksum, provenance digests) lives with the callers, which
+// validation (checksum, stamped identity) lives with the callers, which
 // treat every failure as a miss and rebuild.
 //
 // All filesystem errors are absorbed into "miss" (load) or "false" (store):
-// a read-only or vanished directory degrades the disk tier to a no-op
+// a read-only or vanished directory degrades checkpointing to a no-op
 // rather than failing the sweep.
 
 #pragma once
@@ -42,8 +42,9 @@ class latency_histogram;
 
 namespace synts::storage {
 
-/// Bucket names used by the runtime (kept here so every writer/reader pair
-/// agrees; the store accepts any bucket token).
+/// Bucket names (kept here so every writer/reader pair agrees; the store
+/// accepts any bucket token). The sweep runtime writes no program frames;
+/// program_bucket serves callers that persist program_artifacts themselves.
 inline constexpr std::string_view program_bucket = "program";
 inline constexpr std::string_view cell_bucket = "cell";
 /// Shard-layout and per-shard completion manifests of sharded sweeps

@@ -133,14 +133,8 @@ void write(binary_writer& out, const workload::workload_key& key)
     out.str(key.name);
 }
 
-workload::workload_key read_workload_key(binary_reader& in, std::uint32_t version)
+workload::workload_key read_workload_key(binary_reader& in)
 {
-    if (version < 2) {
-        // v1 frames predate the registry: the identity is a benchmark_id
-        // ordinal, which maps 1:1 onto the built-in key.
-        return workload::builtin_key(checked_enum<workload::benchmark_id>(
-            in.u8(), workload::benchmark_count, "benchmark_id out of range"));
-    }
     workload::workload_key key;
     key.id = in.u64();
     key.name = in.str();
@@ -271,10 +265,10 @@ void write(binary_writer& out, const core::program_artifacts& artifacts)
     }
 }
 
-core::program_artifacts read_program_artifacts(binary_reader& in, std::uint32_t version)
+core::program_artifacts read_program_artifacts(binary_reader& in)
 {
     core::program_artifacts artifacts;
-    artifacts.workload = read_workload_key(in, version);
+    artifacts.workload = read_workload_key(in);
     artifacts.thread_count = in.size();
     artifacts.seed = in.u64();
     artifacts.workload_digest = in.u64();
@@ -425,10 +419,10 @@ void write(binary_writer& out, const runtime::sweep_cell& cell)
     }
 }
 
-runtime::sweep_cell read_sweep_cell(binary_reader& in, std::uint32_t version)
+runtime::sweep_cell read_sweep_cell(binary_reader& in)
 {
     runtime::sweep_cell cell;
-    cell.workload = read_workload_key(in, version);
+    cell.workload = read_workload_key(in);
     cell.stage = checked_enum<circuit::pipe_stage>(in.u8(), circuit::pipe_stage_count,
                                                    "pipe_stage out of range");
     cell.policy = checked_enum<core::policy_kind>(in.u8(), core::policy_count,
@@ -525,18 +519,11 @@ std::string encode_frame(payload_kind kind, const Payload& payload)
     return frame;
 }
 
-/// Verifies framing and returns a reader positioned at the payload, plus
-/// the frame's own format version (decoders accept every version in
-/// [min_format_version, format_version] and parse the payload under the
-/// frame's version). The checksum is verified FIRST: a frame that fails it
-/// is corrupt, and no other field of it can be trusted (including the
-/// version word).
-struct opened_frame {
-    binary_reader in;
-    std::uint32_t version;
-};
-
-opened_frame open_frame(std::string_view frame, payload_kind expected)
+/// Verifies framing (magic, exactly the current format_version, kind) and
+/// returns a reader positioned at the payload. The checksum is verified
+/// FIRST: a frame that fails it is corrupt, and no other field of it can be
+/// trusted (including the version word).
+binary_reader open_frame(std::string_view frame, payload_kind expected)
 {
     constexpr std::size_t header_size = 8 + 4 + 4;
     constexpr std::size_t checksum_size = 8;
@@ -556,22 +543,22 @@ opened_frame open_frame(std::string_view frame, payload_kind expected)
             fail("bad magic");
         }
     }
-    const std::uint32_t version = in.u32();
-    if (version < min_format_version || version > format_version) {
+    if (in.u32() != format_version) {
         fail("format version mismatch");
     }
     if (in.u32() != static_cast<std::uint32_t>(expected)) {
         fail("payload kind mismatch");
     }
-    return {in, version};
+    return in;
 }
 
-template <typename Payload, typename Read>
-Payload decode_frame(std::string_view frame, payload_kind kind, Read&& read)
+template <typename Payload>
+Payload decode_frame(std::string_view frame, payload_kind kind,
+                     Payload (*read)(binary_reader&))
 {
-    opened_frame opened = open_frame(frame, kind);
-    Payload payload = read(opened.in, opened.version);
-    if (!opened.in.at_end()) {
+    binary_reader in = open_frame(frame, kind);
+    Payload payload = read(in);
+    if (!in.at_end()) {
         fail("trailing bytes after payload");
     }
     return payload;
@@ -586,11 +573,7 @@ std::string encode(const core::program_artifacts& artifacts)
 
 core::program_artifacts decode_program_artifacts(std::string_view frame)
 {
-    return decode_frame<core::program_artifacts>(
-        frame, payload_kind::program_artifacts,
-        [](binary_reader& in, std::uint32_t version) {
-            return read_program_artifacts(in, version);
-        });
+    return decode_frame(frame, payload_kind::program_artifacts, read_program_artifacts);
 }
 
 std::string encode(const runtime::sweep_cell& cell)
@@ -600,11 +583,7 @@ std::string encode(const runtime::sweep_cell& cell)
 
 runtime::sweep_cell decode_sweep_cell(std::string_view frame)
 {
-    return decode_frame<runtime::sweep_cell>(
-        frame, payload_kind::sweep_cell,
-        [](binary_reader& in, std::uint32_t version) {
-            return read_sweep_cell(in, version);
-        });
+    return decode_frame(frame, payload_kind::sweep_cell, read_sweep_cell);
 }
 
 std::string encode(const runtime::shard_manifest& manifest)
@@ -614,9 +593,7 @@ std::string encode(const runtime::shard_manifest& manifest)
 
 runtime::shard_manifest decode_shard_manifest(std::string_view frame)
 {
-    return decode_frame<runtime::shard_manifest>(
-        frame, payload_kind::shard_manifest,
-        [](binary_reader& in, std::uint32_t) { return read_shard_manifest(in); });
+    return decode_frame(frame, payload_kind::shard_manifest, read_shard_manifest);
 }
 
 std::string encode(const runtime::shard_progress& progress)
@@ -626,9 +603,7 @@ std::string encode(const runtime::shard_progress& progress)
 
 runtime::shard_progress decode_shard_progress(std::string_view frame)
 {
-    return decode_frame<runtime::shard_progress>(
-        frame, payload_kind::shard_progress,
-        [](binary_reader& in, std::uint32_t) { return read_shard_progress(in); });
+    return decode_frame(frame, payload_kind::shard_progress, read_shard_progress);
 }
 
 } // namespace synts::storage

@@ -1,10 +1,10 @@
 // serialize.h -- versioned binary serialization for persistent artifacts.
 //
-// The artifact store persists the expensive products of the
-// characterization pipeline -- core::program_artifacts (generated trace +
-// architectural profiles) and finished runtime::sweep_cells -- across
-// process lifetimes. Everything here is explicit about bytes, because the
-// files outlive any one build of the code:
+// The artifact store persists finished runtime::sweep_cells and shard
+// bookkeeping across process lifetimes; core::program_artifacts (generated
+// trace + architectural profiles) keep a codec for callers that persist
+// them. Everything here is explicit about bytes, because the files outlive
+// any one build of the code:
 //
 //   * all integers are written little-endian, regardless of host order;
 //     doubles go through their IEEE-754 bit pattern (bit-exactness is the
@@ -34,14 +34,11 @@
 //   v1  workload identity = benchmark_id ordinal (u8) -- the closed ten.
 //   v2  workload identity = workload_key (u64 registry digest + name), so
 //       frames can carry any registered workload, including parametric
-//       scenario instances. Encoders always write the current version;
-//       decoders still accept v1 FRAMES (the ordinal maps onto the
-//       built-in key). Note the scope: this is frame-level compatibility
-//       for anything holding v1 bytes (exports, fixtures, external
-//       tooling). The artifact_store itself does NOT serve v1 entries --
-//       its paths embed the version, and the registry rekeyed the cache
-//       digests anyway, so a v2 store deliberately starts cold rather
-//       than probe old directories.
+//       scenario instances.
+// Encoders write, and decoders accept, only the current version: the
+// artifact_store's paths embed the version, so no store read can meet an
+// older frame, and one stamped with any other version is rejected like a
+// corrupt one.
 
 #pragma once
 
@@ -57,9 +54,6 @@ namespace synts::storage {
 
 /// Bumped on ANY change to the framing or a serialized struct layout.
 inline constexpr std::uint32_t format_version = 2;
-
-/// Oldest frame version decoders still accept (see version history above).
-inline constexpr std::uint32_t min_format_version = 1;
 
 /// First 8 bytes of every frame.
 inline constexpr std::string_view frame_magic = "SYNTSTOR";
@@ -140,10 +134,7 @@ private:
 // enough to check inline (deep structural validation is the caller's call).
 
 void write(binary_writer& out, const workload::workload_key& key);
-/// `version` selects the layout: v1 frames stored a benchmark_id ordinal
-/// (mapped onto the built-in key), v2+ the full key.
-[[nodiscard]] workload::workload_key read_workload_key(binary_reader& in,
-                                                       std::uint32_t version);
+[[nodiscard]] workload::workload_key read_workload_key(binary_reader& in);
 
 void write(binary_writer& out, const arch::micro_op& op);
 [[nodiscard]] arch::micro_op read_micro_op(binary_reader& in);
@@ -158,8 +149,7 @@ void write(binary_writer& out, const arch::interval_profile& profile);
 [[nodiscard]] arch::interval_profile read_interval_profile(binary_reader& in);
 
 void write(binary_writer& out, const core::program_artifacts& artifacts);
-[[nodiscard]] core::program_artifacts
-read_program_artifacts(binary_reader& in, std::uint32_t version = format_version);
+[[nodiscard]] core::program_artifacts read_program_artifacts(binary_reader& in);
 
 void write(binary_writer& out, const core::pareto_point& point);
 [[nodiscard]] core::pareto_point read_pareto_point(binary_reader& in);
@@ -172,8 +162,7 @@ void write(binary_writer& out, const core::benchmark_experiment::policy_run& run
 read_policy_run(binary_reader& in);
 
 void write(binary_writer& out, const runtime::sweep_cell& cell);
-[[nodiscard]] runtime::sweep_cell read_sweep_cell(binary_reader& in,
-                                                  std::uint32_t version = format_version);
+[[nodiscard]] runtime::sweep_cell read_sweep_cell(binary_reader& in);
 
 void write(binary_writer& out, const runtime::shard_manifest& manifest);
 [[nodiscard]] runtime::shard_manifest read_shard_manifest(binary_reader& in);
@@ -186,10 +175,9 @@ void write(binary_writer& out, const runtime::shard_progress& progress);
 // format_version):
 //   magic(8) | format_version(u32) | payload_kind(u32) | payload |
 //   checksum(u64, FNV-1a over everything before it)
-// decode_* verify magic, version (any in [min_format_version,
-// format_version]), kind and checksum, parse the payload under the frame's
-// own version, and require the frame to end exactly at the checksum (no
-// trailing bytes).
+// decode_* verify magic, version (exactly format_version), kind and
+// checksum, parse the payload, and require the frame to end exactly at the
+// checksum (no trailing bytes).
 
 [[nodiscard]] std::string encode(const core::program_artifacts& artifacts);
 [[nodiscard]] core::program_artifacts decode_program_artifacts(std::string_view frame);

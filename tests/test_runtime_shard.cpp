@@ -316,12 +316,9 @@ TEST(runtime_shard, concurrent_sweeps_on_one_cache_attribute_their_own_traffic)
         EXPECT_EQ(result->program_computes, 1u);
         EXPECT_EQ(result->cache_misses, 1u);
         EXPECT_EQ(result->cache_hits, 0u);
-        EXPECT_EQ(result->disk_hits, 0u);
-        EXPECT_EQ(result->disk_misses, 0u);
     }
     // The process-wide registry still sees the union.
     EXPECT_EQ(registry.counter_at("cache.tier2.misses").value(), 2u);
-    EXPECT_EQ(registry.counter_at("cache.tier2.computes").value(), 2u);
     EXPECT_EQ(registry.counter_at("cache.tier1.misses").value(), 2u);
 
     // A re-run of sweep A against the warm cache reports pure hits -- and

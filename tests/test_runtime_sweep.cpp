@@ -226,13 +226,12 @@ TEST(runtime_sweep, emitters_cover_every_cell)
 
     EXPECT_NE(runtime::render_sweep_table(result).find("Radix"), std::string::npos);
 
-    // A store-less run reports empty disk and checkpoint tiers (no phantom
+    // A store-less run reports an empty checkpoint tier (no phantom
     // "checkpoint misses" from a tier that never ran).
     EXPECT_FALSE(result.checkpointing);
     EXPECT_EQ(result.cells_missed(), 0u);
     const std::string stats =
         runtime::render_cache_stats(result, runtime::cache_stats_format::csv);
-    EXPECT_NE(stats.find("disk,0,0"), std::string::npos);
     EXPECT_NE(stats.find("checkpoint,0,0"), std::string::npos);
 }
 
@@ -255,9 +254,6 @@ TEST(runtime_sweep, registry_counters_match_sweep_result)
         EXPECT_EQ(count("cache.tier1.misses"), result.cache_misses);
         EXPECT_EQ(count("cache.tier2.hits"), result.program_cache_hits);
         EXPECT_EQ(count("cache.tier2.misses"), result.program_cache_misses);
-        EXPECT_EQ(count("cache.tier2.computes"), result.program_computes);
-        EXPECT_EQ(count("cache.tier3.hits"), result.disk_hits);
-        EXPECT_EQ(count("cache.tier3.misses"), result.disk_misses);
         EXPECT_EQ(count("sweep.cells_loaded"), result.cells_loaded);
         EXPECT_EQ(count("sweep.cells_stored"), result.cells_stored);
         EXPECT_EQ(count("sweep.cells_missed"), result.cells_missed());
@@ -269,17 +265,17 @@ TEST(runtime_sweep, registry_counters_match_sweep_result)
     const runtime::sweep_result cold =
         runtime::sweep_scheduler(pool, cold_cache).run(spec);
     EXPECT_EQ(cold.program_computes, 1u);
-    EXPECT_EQ(cold.disk_misses, 1u);
     EXPECT_EQ(cold.cells_stored, cold.cells.size());
     expect_registry_matches(cold);
 
-    // A second "process" over the same store: artifacts come off disk.
+    // A second "process" resuming over the same store: every cell is a
+    // restored checkpoint.
     registry.reset();
     runtime::experiment_cache warm_cache;
     warm_cache.attach_store(std::make_shared<storage::artifact_store>(dir.path));
     const runtime::sweep_result warm =
-        runtime::sweep_scheduler(pool, warm_cache).run(spec);
-    EXPECT_EQ(warm.disk_hits, 1u);
+        runtime::sweep_scheduler(pool, warm_cache).run(spec, {nullptr, true});
+    EXPECT_EQ(warm.cells_loaded, warm.cells.size());
     EXPECT_EQ(warm.program_computes, 0u);
     expect_registry_matches(warm);
 }

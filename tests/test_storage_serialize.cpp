@@ -1,7 +1,7 @@
 // Tests for storage/serialize: bit-exact round trips of every persisted
 // type, PR-2-style drift guards (perturbing any serialized field must
 // change the encoded bytes -- a field the codec forgets fails here), a
-// golden-bytes test pinning the v1 on-disk format, and decode rejection of
+// golden-bytes test pinning the v2 on-disk format, and decode rejection of
 // every corruption class (truncation, bit flips, version skew, payload
 // kind mismatch, trailing bytes).
 
@@ -215,12 +215,12 @@ TEST(storage_serialize, real_pipeline_artifacts_round_trip_bit_exact)
     const core::program_artifacts decoded = storage::decode_program_artifacts(frame);
     EXPECT_TRUE(same_artifacts(*original, decoded));
     EXPECT_NO_THROW(decoded.validate());
-    EXPECT_TRUE(decoded.provenance_matches(workload::benchmark_id::radix,
-                                           original->thread_count,
-                                           original->workload_digest));
-    EXPECT_FALSE(decoded.provenance_matches(workload::benchmark_id::fmm,
-                                            original->thread_count,
-                                            original->workload_digest));
+    // The stamped identity survives the round trip field by field.
+    EXPECT_EQ(decoded.workload, workload::builtin_key(workload::benchmark_id::radix));
+    EXPECT_NE(decoded.workload, workload::builtin_key(workload::benchmark_id::fmm));
+    EXPECT_EQ(decoded.thread_count, original->thread_count);
+    EXPECT_EQ(decoded.trace.thread_count(), original->thread_count);
+    EXPECT_EQ(decoded.workload_digest, original->workload_digest);
 }
 
 TEST(storage_serialize, tiny_cell_round_trip_bit_exact)
@@ -372,62 +372,10 @@ TEST(storage_serialize, every_cell_field_reaches_the_encoding)
 
 // -- golden bytes -----------------------------------------------------------
 
-/// Re-encodes tiny_artifacts() as a v1 frame: the pre-registry layout with
-/// a benchmark_id ordinal (u8) where v2 stores the workload key. Used to
-/// prove v1 store frames of the built-in ten still decode after the bump.
-std::string encode_v1_artifacts(const core::program_artifacts& artifacts,
-                                std::uint8_t benchmark_ordinal)
-{
-    storage::binary_writer out;
-    for (const char c : storage::frame_magic) {
-        out.u8(static_cast<std::uint8_t>(c));
-    }
-    out.u32(1); // v1
-    out.u32(static_cast<std::uint32_t>(storage::payload_kind::program_artifacts));
-    out.u8(benchmark_ordinal);
-    out.size(artifacts.thread_count);
-    out.u64(artifacts.seed);
-    out.u64(artifacts.workload_digest);
-    storage::write(out, artifacts.trace);
-    out.size(artifacts.arch_profiles.size());
-    for (const auto& thread : artifacts.arch_profiles) {
-        out.size(thread.size());
-        for (const auto& interval : thread) {
-            storage::write(out, interval);
-        }
-    }
-    std::string frame = out.take();
-    frame.append(8, '\0');
-    return with_fixed_checksum(std::move(frame));
-}
-
-/// The exact 269-byte v1 frame of tiny_artifacts(), as hex: header
-/// ("SYNTSTOR", version 1, kind 1), the payload field by field in little
-/// endian (benchmark as a u8 ordinal), and the trailing FNV-1a checksum.
-/// These bytes were produced by the PR-3 v1 encoder and are frozen here:
-/// they are what a pre-registry store actually contains.
-constexpr std::string_view kGoldenV1FrameHex =
-    "53594e5453544f520100000001000000"
-    "0102000000000000002a000000000000"
-    "00efcdab896745230102000000000000"
-    "00010000000000000000efbeadde0100"
-    "00000000000002000000000000000300"
-    "00000000000000010000000000000001"
-    "00000000000000010000000000000006"
-    "78563412040000000000000005000000"
-    "00000000060000000000000001010000"
-    "00000000000100000000000000020000"
-    "000000000001000000000000000a0000"
-    "00000000001400000000000000000000"
-    "0000000040000000000000d03f000000"
-    "000000c03f01000000000000000b0000"
-    "00000000001600000000000000000000"
-    "0000000440000000000000e03f000000"
-    "000000b03f3dea736deece9031";
-
-/// The exact v2 frame of tiny_artifacts(): as v1, but the benchmark
-/// ordinal is replaced by the workload key (u64 registry digest + length-
-/// prefixed name "Radix") and the header says version 2.
+/// The exact v2 frame of tiny_artifacts(), as hex: header ("SYNTSTOR",
+/// version 2, kind 1), the workload key (u64 registry digest + length-
+/// prefixed name "Radix"), the rest of the payload field by field in little
+/// endian, and the trailing FNV-1a checksum.
 constexpr std::string_view kGoldenV2FrameHex =
     "53594e5453544f520200000001000000"
     "d04842bc646e0c42050000000000000052616469780200000000000000"
@@ -463,42 +411,6 @@ std::string from_hex(std::string_view hex)
     return out;
 }
 
-TEST(storage_serialize, golden_v1_frame_still_decodes_after_version_bump)
-{
-    // The frozen PR-3 bytes: a v1 store frame of tiny_artifacts() with
-    // benchmark_id::radix as a u8 ordinal. The v2 decoder must keep
-    // accepting it, mapping the ordinal onto the built-in registry key.
-    const core::program_artifacts decoded =
-        storage::decode_program_artifacts(from_hex(kGoldenV1FrameHex));
-    EXPECT_TRUE(same_artifacts(decoded, tiny_artifacts()));
-    EXPECT_EQ(decoded.workload, workload::builtin_key(workload::benchmark_id::radix));
-}
-
-TEST(storage_serialize, v1_frames_of_every_builtin_benchmark_decode)
-{
-    for (const workload::benchmark_id id : workload::all_benchmarks()) {
-        const std::string frame =
-            encode_v1_artifacts(tiny_artifacts(), static_cast<std::uint8_t>(id));
-        const core::program_artifacts decoded = storage::decode_program_artifacts(frame);
-        EXPECT_EQ(decoded.workload, workload::builtin_key(id));
-        EXPECT_EQ(decoded.seed, tiny_artifacts().seed);
-    }
-    // The golden hex and the re-encoder agree byte for byte (so the
-    // re-encoder really is the v1 layout, not an approximation).
-    EXPECT_EQ(to_hex(encode_v1_artifacts(
-                  tiny_artifacts(),
-                  static_cast<std::uint8_t>(workload::benchmark_id::radix))),
-              std::string(kGoldenV1FrameHex));
-}
-
-TEST(storage_serialize, v1_out_of_range_benchmark_ordinal_is_rejected)
-{
-    const std::string frame = encode_v1_artifacts(
-        tiny_artifacts(), static_cast<std::uint8_t>(workload::benchmark_count));
-    EXPECT_THROW((void)storage::decode_program_artifacts(frame),
-                 storage::serialize_error);
-}
-
 TEST(storage_serialize, golden_frame_pins_v2_format)
 {
     // The exact v2 frame of tiny_artifacts(). If this test fails, the
@@ -514,6 +426,9 @@ TEST(storage_serialize, golden_frame_pins_v2_format)
     EXPECT_EQ(to_hex(frame.substr(12, 4)), "01000000"); // kind: program_artifacts
 
     EXPECT_EQ(to_hex(frame), std::string(kGoldenV2FrameHex));
+    // ...and the frozen bytes decode back to the same artifacts.
+    EXPECT_TRUE(same_artifacts(
+        storage::decode_program_artifacts(from_hex(kGoldenV2FrameHex)), tiny_artifacts()));
 }
 
 // -- corruption rejection ---------------------------------------------------
@@ -548,9 +463,10 @@ TEST(storage_serialize, wrong_version_is_rejected_even_with_valid_checksum)
     future[8] = static_cast<char>(storage::format_version + 1); // LE low byte
     EXPECT_THROW((void)storage::decode_program_artifacts(with_fixed_checksum(future)),
                  storage::serialize_error);
-    // ...and so is anything below min_format_version (0 was never valid).
+    // ...and so are older ones: a frame stamped v1 is rejected like any
+    // other wrong version (the store's versioned paths never serve one).
     std::string ancient = storage::encode(tiny_artifacts());
-    ancient[8] = 0;
+    ancient[8] = 1;
     EXPECT_THROW((void)storage::decode_program_artifacts(with_fixed_checksum(ancient)),
                  storage::serialize_error);
 }
@@ -582,15 +498,15 @@ TEST(storage_serialize, trailing_bytes_are_rejected)
 
 TEST(storage_serialize, hostile_length_fields_cannot_force_huge_allocations)
 {
-    // Claim 2^60 ops in a 100-byte v1 frame; the decoder must reject from
-    // the length bound, not die attempting the allocation.
+    // Claim 2^60 trace threads in a ~100-byte v2 frame; the decoder must
+    // reject from the length bound, not die attempting the allocation.
     storage::binary_writer out;
     for (const char c : storage::frame_magic) {
         out.u8(static_cast<std::uint8_t>(c));
     }
-    out.u32(1); // v1 framing (u8 benchmark ordinal below)
+    out.u32(storage::format_version);
     out.u32(static_cast<std::uint32_t>(storage::payload_kind::program_artifacts));
-    out.u8(0);          // benchmark
+    storage::write(out, workload::builtin_key(workload::benchmark_id::radix));
     out.size(2);        // thread_count
     out.u64(42);        // seed
     out.u64(0);         // workload digest

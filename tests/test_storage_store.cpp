@@ -1,22 +1,21 @@
-// Tests for storage/artifact_store and the disk tier it provides: sharded
-// layout and atomic publish, the experiment cache's memory -> disk ->
-// compute fall-through, every corruption class (truncated, bit-flipped,
-// wrong-version, wrong-digest files) degrading to a rebuild -- never a
-// crash, never stale data -- sweep checkpointing with --resume semantics,
-// and two caches racing on one shared store directory (the TSan job runs
-// this suite with two concurrent runners).
+// Tests for storage/artifact_store and the sweep checkpoints it holds:
+// sharded layout and atomic publish, every corruption class (truncated,
+// bit-flipped, wrong-version, bad-magic, misplaced cell frames) degrading
+// to a recompute -- never a crash, never stale data -- --resume semantics,
+// and two runners racing on one shared store directory (the TSan job runs
+// this suite).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unistd.h>
-#include <vector>
 
 #include "helpers.h"
 #include "core/experiment.h"
@@ -26,6 +25,7 @@
 #include "runtime/thread_pool.h"
 #include "storage/artifact_store.h"
 #include "storage/serialize.h"
+#include "util/hashing.h"
 
 namespace {
 
@@ -35,13 +35,6 @@ namespace fs = std::filesystem;
 constexpr auto kBenchmark = workload::benchmark_id::radix;
 
 using test::temp_dir;
-
-/// The program-tier store key the cache uses for (benchmark, config).
-std::uint64_t program_key_digest(workload::benchmark_id benchmark,
-                                 const core::experiment_config& config)
-{
-    return runtime::program_key{benchmark, config.workload_digest()}.digest();
-}
 
 void corrupt_file(const fs::path& path, std::size_t byte, std::uint8_t mask)
 {
@@ -59,15 +52,29 @@ void truncate_file(const fs::path& path, std::size_t keep_bytes)
     fs::resize_file(path, keep_bytes);
 }
 
-bool same_artifacts(const core::program_artifacts& a, const core::program_artifacts& b)
+/// Overwrites the 4-byte little-endian word at `byte`, then re-seals the
+/// trailing checksum, so the frame fails on that field and not on the
+/// checksum gate.
+void patch_and_reseal(const fs::path& path, std::size_t byte, std::uint32_t value)
 {
-    if (a.workload != b.workload || a.thread_count != b.thread_count ||
-        a.seed != b.seed || a.workload_digest != b.workload_digest) {
-        return false;
+    std::string frame;
+    {
+        std::ifstream in(path, std::ios::binary);
+        frame.assign(std::istreambuf_iterator<char>(in), {});
     }
-    // Frames are canonical (field-by-field little-endian), so byte equality
-    // of the encodings IS bit equality of every field.
-    return storage::encode(a) == storage::encode(b);
+    ASSERT_GE(frame.size(), byte + 4 + 8) << path;
+    for (std::size_t i = 0; i < 4; ++i) {
+        frame[byte + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+    util::digest_builder h;
+    for (std::size_t i = 0; i + 8 < frame.size(); ++i) {
+        h.byte(static_cast<std::uint8_t>(frame[i]));
+    }
+    const std::uint64_t sum = h.digest();
+    for (std::size_t i = 0; i < 8; ++i) {
+        frame[frame.size() - 8 + i] = static_cast<char>((sum >> (8 * i)) & 0xFF);
+    }
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << frame;
 }
 
 bool same_cells(const runtime::sweep_cell& a, const runtime::sweep_cell& b)
@@ -146,211 +153,6 @@ TEST(storage_store, unusable_root_is_a_constructor_error)
     EXPECT_THROW(storage::artifact_store{blocked}, std::runtime_error);
 }
 
-// -- disk tier of the experiment cache --------------------------------------
-
-TEST(storage_store, warm_cache_restores_artifacts_without_computing)
-{
-    temp_dir dir;
-    const core::experiment_config config;
-
-    // Cold process: computes, writes back.
-    runtime::experiment_cache cold;
-    runtime::cache_traffic cold_traffic;
-    cold.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto computed = cold.get_or_create_program(kBenchmark, config, nullptr,
-                                                     &cold_traffic);
-    EXPECT_EQ(cold_traffic.disk_hits.load(), 0u);
-    EXPECT_EQ(cold_traffic.disk_misses.load(), 1u);
-    EXPECT_EQ(cold_traffic.program_computes.load(), 1u);
-    EXPECT_TRUE(cold.store()->contains(storage::program_bucket,
-                                       program_key_digest(kBenchmark, config)));
-
-    // Warm "process" (fresh cache, fresh store handle, same directory):
-    // the artifacts come off disk -- zero trace generations -- and are bit
-    // identical to the computed ones.
-    runtime::experiment_cache warm;
-    runtime::cache_traffic warm_traffic;
-    warm.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto restored = warm.get_or_create_program(kBenchmark, config, nullptr,
-                                                     &warm_traffic);
-    EXPECT_EQ(warm_traffic.disk_hits.load(), 1u);
-    EXPECT_EQ(warm_traffic.disk_misses.load(), 0u);
-    EXPECT_EQ(warm_traffic.program_computes.load(), 0u);
-    EXPECT_TRUE(same_artifacts(*computed, *restored));
-    EXPECT_NO_THROW(restored->validate());
-
-    // The acceptance pin: disk-tier hits cover every program-tier lookup
-    // that memory could not serve.
-    EXPECT_EQ(warm_traffic.disk_hits.load(), warm_traffic.program.misses.load());
-}
-
-TEST(storage_store, full_experiment_from_disk_artifacts_is_bit_identical)
-{
-    temp_dir dir;
-    runtime::experiment_cache cold;
-    cold.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto from_compute =
-        cold.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu);
-
-    runtime::experiment_cache warm;
-    runtime::cache_traffic warm_traffic;
-    warm.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto from_disk = warm.get_or_create(kBenchmark, circuit::pipe_stage::simple_alu,
-                                              {}, nullptr, &warm_traffic);
-    EXPECT_EQ(warm_traffic.program_computes.load(), 0u);
-
-    const double theta = from_compute->equal_weight_theta();
-    EXPECT_EQ(from_disk->equal_weight_theta(), theta);
-    for (const core::policy_kind kind : core::all_policies()) {
-        const auto a = from_compute->run_policy(kind, theta);
-        const auto b = from_disk->run_policy(kind, theta);
-        EXPECT_EQ(a.sum.energy, b.sum.energy);
-        EXPECT_EQ(a.sum.time_ps, b.sum.time_ps);
-    }
-}
-
-TEST(storage_store, every_corruption_class_is_a_miss_and_gets_rebuilt)
-{
-    const core::experiment_config config;
-
-    struct corruption {
-        const char* name;
-        void (*apply)(const fs::path&);
-    };
-    const corruption corruptions[] = {
-        {"truncated", [](const fs::path& p) { truncate_file(p, 40); }},
-        {"truncated to zero", [](const fs::path& p) { truncate_file(p, 0); }},
-        {"bit-flipped payload", [](const fs::path& p) { corrupt_file(p, 60, 0x10); }},
-        {"bit-flipped checksum",
-         [](const fs::path& p) {
-             corrupt_file(p, fs::file_size(p) - 1, 0x01);
-         }},
-        {"wrong version", [](const fs::path& p) { corrupt_file(p, 8, 0x02); }},
-        {"bad magic", [](const fs::path& p) { corrupt_file(p, 0, 0xFF); }},
-    };
-
-    for (const corruption& c : corruptions) {
-        SCOPED_TRACE(c.name);
-        temp_dir dir;
-        {
-            runtime::experiment_cache seeder;
-            seeder.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-            (void)seeder.get_or_create_program(kBenchmark, config);
-        }
-        storage::artifact_store probe(dir.path);
-        const fs::path entry = probe.entry_path(
-            storage::program_bucket, program_key_digest(kBenchmark, config));
-        ASSERT_TRUE(fs::is_regular_file(entry));
-        c.apply(entry);
-
-        // The corrupt file is a miss: rebuilt, never crashed, never served.
-        runtime::experiment_cache victim;
-        runtime::cache_traffic victim_traffic;
-        victim.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-        const auto rebuilt =
-            victim.get_or_create_program(kBenchmark, config, nullptr, &victim_traffic);
-        EXPECT_EQ(victim_traffic.disk_hits.load(), 0u);
-        EXPECT_EQ(victim_traffic.disk_misses.load(), 1u);
-        EXPECT_EQ(victim_traffic.program_computes.load(), 1u);
-        EXPECT_NO_THROW(rebuilt->validate());
-        EXPECT_EQ(rebuilt->seed, config.seed);
-        EXPECT_EQ(rebuilt->workload_digest, config.workload_digest());
-
-        // ... and the rebuild repaired the store: the next fresh cache hits.
-        runtime::experiment_cache repaired;
-        runtime::cache_traffic repaired_traffic;
-        repaired.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-        (void)repaired.get_or_create_program(kBenchmark, config, nullptr,
-                                             &repaired_traffic);
-        EXPECT_EQ(repaired_traffic.disk_hits.load(), 1u);
-        EXPECT_EQ(repaired_traffic.program_computes.load(), 0u);
-    }
-}
-
-TEST(storage_store, wrong_digest_entry_is_a_miss_never_stale_data)
-{
-    // A VALID frame parked under the wrong key (here: seed-43 artifacts
-    // where seed-42 artifacts belong) must be rejected by the provenance
-    // stamp -- the invalidation contract is digest mismatch => miss.
-    temp_dir dir;
-    core::experiment_config seed42;
-    seed42.seed = 42;
-    core::experiment_config seed43;
-    seed43.seed = 43;
-
-    {
-        runtime::experiment_cache seeder;
-        seeder.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-        (void)seeder.get_or_create_program(kBenchmark, seed43);
-    }
-    storage::artifact_store probe(dir.path);
-    const auto frame43 =
-        probe.load(storage::program_bucket, program_key_digest(kBenchmark, seed43));
-    ASSERT_TRUE(frame43.has_value());
-    ASSERT_TRUE(probe.store(storage::program_bucket,
-                            program_key_digest(kBenchmark, seed42), *frame43));
-
-    runtime::experiment_cache victim;
-    runtime::cache_traffic victim_traffic;
-    victim.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    const auto rebuilt =
-        victim.get_or_create_program(kBenchmark, seed42, nullptr, &victim_traffic);
-    EXPECT_EQ(victim_traffic.disk_hits.load(), 0u);
-    EXPECT_EQ(victim_traffic.program_computes.load(), 1u);
-    EXPECT_EQ(rebuilt->seed, 42u); // the request's workload, not the file's
-    EXPECT_EQ(rebuilt->workload_digest, seed42.workload_digest());
-}
-
-TEST(storage_store, detached_cache_never_touches_disk)
-{
-    runtime::experiment_cache cache;
-    runtime::cache_traffic traffic;
-    (void)cache.get_or_create_program(kBenchmark, {}, nullptr, &traffic);
-    EXPECT_EQ(cache.store(), nullptr);
-    EXPECT_EQ(traffic.disk_hits.load(), 0u);
-    EXPECT_EQ(traffic.disk_misses.load(), 0u);
-    EXPECT_EQ(traffic.program_computes.load(), 1u);
-}
-
-// -- concurrent runners sharing one store directory -------------------------
-
-TEST(storage_store, two_runners_race_on_one_store_directory)
-{
-    // Two independent caches (separate store handles, one directory) pull
-    // the same workloads concurrently -- the worst case for write-back
-    // racing: both miss, both compute, both publish the same key. Atomic
-    // rename makes the race benign; both must end with valid, identical
-    // artifacts. Run under TSan by the CI storage job.
-    temp_dir dir;
-    const core::experiment_config config;
-
-    runtime::experiment_cache caches[2];
-    std::shared_ptr<const core::program_artifacts> results[2];
-    std::thread runners[2];
-    for (int i = 0; i < 2; ++i) {
-        caches[i].attach_store(std::make_shared<storage::artifact_store>(dir.path));
-        runners[i] = std::thread([&, i] {
-            results[i] = caches[i].get_or_create_program(kBenchmark, config);
-        });
-    }
-    for (std::thread& runner : runners) {
-        runner.join();
-    }
-
-    ASSERT_NE(results[0], nullptr);
-    ASSERT_NE(results[1], nullptr);
-    EXPECT_TRUE(same_artifacts(*results[0], *results[1]));
-    EXPECT_NO_THROW(results[0]->validate());
-
-    // Whoever lost the publish race left a fully valid entry behind.
-    runtime::experiment_cache after;
-    runtime::cache_traffic after_traffic;
-    after.attach_store(std::make_shared<storage::artifact_store>(dir.path));
-    (void)after.get_or_create_program(kBenchmark, config, nullptr, &after_traffic);
-    EXPECT_EQ(after_traffic.disk_hits.load(), 1u);
-    EXPECT_EQ(after_traffic.program_computes.load(), 0u);
-}
-
 // -- sweep checkpointing and resume -----------------------------------------
 
 runtime::sweep_spec checkpoint_spec()
@@ -369,40 +171,33 @@ TEST(storage_store, warm_sweep_re_run_computes_nothing_and_matches_bit_for_bit)
     const runtime::sweep_spec spec = checkpoint_spec();
     runtime::thread_pool pool(2);
 
-    // Cold run: store attached, everything computed and persisted.
+    // Cold run: everything computed and checkpointed.
     runtime::experiment_cache cold_cache;
-    auto cold_store = std::make_shared<storage::artifact_store>(dir.path);
-    cold_cache.attach_store(cold_store);
-    const runtime::sweep_result cold = runtime::sweep_scheduler(pool, cold_cache)
-                                           .run(spec, {cold_store.get(), false});
+    storage::artifact_store cold_store(dir.path);
+    const runtime::sweep_result cold =
+        runtime::sweep_scheduler(pool, cold_cache).run(spec, {&cold_store, false});
     EXPECT_EQ(cold.program_computes, 1u);
     EXPECT_EQ(cold.cells_stored, 2u);
     EXPECT_EQ(cold.cells_loaded, 0u);
 
-    // Warm run, NO resume: cells recomputed from disk-tier artifacts --
-    // zero trace generations, disk hits covering every program miss, and
-    // cell-for-cell bit-identical results.
+    // Warm run, NO resume: the store holds no artifacts, so the pipeline
+    // runs again end to end -- and reproduces every cell bit for bit.
     runtime::experiment_cache warm_cache;
-    auto warm_store = std::make_shared<storage::artifact_store>(dir.path);
-    warm_cache.attach_store(warm_store);
-    const runtime::sweep_result warm = runtime::sweep_scheduler(pool, warm_cache)
-                                           .run(spec, {warm_store.get(), false});
-    EXPECT_EQ(warm.program_computes, 0u);
-    EXPECT_EQ(warm.disk_hits, warm.program_cache_misses);
-    EXPECT_EQ(warm.disk_misses, 0u);
+    storage::artifact_store warm_store(dir.path);
+    const runtime::sweep_result warm =
+        runtime::sweep_scheduler(pool, warm_cache).run(spec, {&warm_store, false});
+    EXPECT_EQ(warm.program_computes, 1u);
     EXPECT_EQ(warm.cells_loaded, 0u);
     ASSERT_EQ(warm.cells.size(), cold.cells.size());
     for (std::size_t i = 0; i < cold.cells.size(); ++i) {
         EXPECT_TRUE(same_cells(cold.cells[i], warm.cells[i])) << "cell " << i;
     }
 
-    // Resumed run: cells restored outright; no cache traffic at all.
+    // Warm --resume: cells restored outright; no cache traffic at all.
     runtime::experiment_cache resumed_cache;
-    auto resumed_store = std::make_shared<storage::artifact_store>(dir.path);
-    resumed_cache.attach_store(resumed_store);
+    storage::artifact_store resumed_store(dir.path);
     const runtime::sweep_result resumed =
-        runtime::sweep_scheduler(pool, resumed_cache)
-            .run(spec, {resumed_store.get(), true});
+        runtime::sweep_scheduler(pool, resumed_cache).run(spec, {&resumed_store, true});
     EXPECT_EQ(resumed.cells_loaded, 2u);
     EXPECT_EQ(resumed.program_cache_misses, 0u);
     EXPECT_EQ(resumed.program_computes, 0u);
@@ -410,6 +205,104 @@ TEST(storage_store, warm_sweep_re_run_computes_nothing_and_matches_bit_for_bit)
     for (std::size_t i = 0; i < cold.cells.size(); ++i) {
         EXPECT_TRUE(same_cells(cold.cells[i], resumed.cells[i])) << "cell " << i;
     }
+}
+
+/// Resumes `spec` from `dir` through a fresh cache and store handle, as a
+/// new process would.
+runtime::sweep_result resume_from(const fs::path& dir, const runtime::sweep_spec& spec,
+                                  runtime::thread_pool& pool)
+{
+    runtime::experiment_cache cache;
+    storage::artifact_store store(dir);
+    return runtime::sweep_scheduler(pool, cache).run(spec, {&store, /*resume=*/true});
+}
+
+/// Expects `victim` -- a resume whose cell 0 checkpoint was unusable -- to
+/// have treated it as a miss: cell 0 recomputed (bit-identical to `cold`)
+/// and re-persisted, cell 1 restored. The next resume must then restore
+/// both cells without computing anything.
+void expect_cell0_rebuilt(const runtime::sweep_result& cold,
+                          const runtime::sweep_result& victim, const fs::path& dir,
+                          const runtime::sweep_spec& spec, runtime::thread_pool& pool)
+{
+    EXPECT_EQ(victim.cells_loaded, 1u);
+    EXPECT_EQ(victim.cells_stored, 1u);
+    EXPECT_EQ(victim.program_computes, 1u);
+    ASSERT_EQ(victim.cells.size(), cold.cells.size());
+    for (std::size_t i = 0; i < cold.cells.size(); ++i) {
+        EXPECT_TRUE(same_cells(cold.cells[i], victim.cells[i])) << "cell " << i;
+    }
+
+    const runtime::sweep_result repaired = resume_from(dir, spec, pool);
+    EXPECT_EQ(repaired.cells_loaded, cold.cells.size());
+    EXPECT_EQ(repaired.program_computes, 0u);
+    EXPECT_TRUE(same_cells(cold.cells[0], repaired.cells[0]));
+}
+
+TEST(storage_store, every_corruption_class_is_a_miss_and_gets_rebuilt)
+{
+    struct corruption {
+        const char* name;
+        void (*apply)(const fs::path&);
+    };
+    const corruption corruptions[] = {
+        {"truncated", [](const fs::path& p) { truncate_file(p, 40); }},
+        {"truncated to zero", [](const fs::path& p) { truncate_file(p, 0); }},
+        {"bit-flipped payload", [](const fs::path& p) { corrupt_file(p, 60, 0x10); }},
+        {"bit-flipped checksum",
+         [](const fs::path& p) {
+             corrupt_file(p, fs::file_size(p) - 1, 0x01);
+         }},
+        // The last two re-seal the checksum, so the frame is rejected on the
+        // field itself: a v1 stamp, and a magic that is not "SYNTSTOR".
+        {"wrong version", [](const fs::path& p) { patch_and_reseal(p, 8, 1); }},
+        {"bad magic", [](const fs::path& p) { patch_and_reseal(p, 0, 0x21444142); }},
+    };
+
+    temp_dir dir;
+    const runtime::sweep_spec spec = checkpoint_spec();
+    runtime::thread_pool pool(2);
+    runtime::experiment_cache seeder;
+    storage::artifact_store store(dir.path);
+    const runtime::sweep_result cold =
+        runtime::sweep_scheduler(pool, seeder).run(spec, {&store, false});
+    const fs::path entry = store.entry_path(storage::cell_bucket,
+                                            runtime::sweep_cell_digest(spec.digest(), 0));
+
+    // Each class corrupts cell 0's checkpoint; the rebuild of one class
+    // repairs the store for the next.
+    for (const corruption& c : corruptions) {
+        SCOPED_TRACE(c.name);
+        ASSERT_TRUE(fs::is_regular_file(entry));
+        c.apply(entry);
+        expect_cell0_rebuilt(cold, resume_from(dir.path, spec, pool), dir.path, spec, pool);
+    }
+}
+
+TEST(storage_store, wrong_digest_entry_is_a_miss_never_stale_data)
+{
+    // A VALID cell frame parked under another cell's key (here: the
+    // synts_offline cell where the nominal cell belongs) must be rejected
+    // by its stamped identity -- never served as the nominal result.
+    temp_dir dir;
+    const runtime::sweep_spec spec = checkpoint_spec();
+    runtime::thread_pool pool(2);
+    runtime::experiment_cache seeder;
+    storage::artifact_store store(dir.path);
+    const runtime::sweep_result cold =
+        runtime::sweep_scheduler(pool, seeder).run(spec, {&store, false});
+    ASSERT_EQ(cold.cells[0].policy, core::policy_kind::nominal);
+    ASSERT_EQ(cold.cells[1].policy, core::policy_kind::synts_offline);
+
+    const std::uint64_t key0 = runtime::sweep_cell_digest(spec.digest(), 0);
+    const std::uint64_t key1 = runtime::sweep_cell_digest(spec.digest(), 1);
+    const std::optional<std::string> frame1 = store.load(storage::cell_bucket, key1);
+    ASSERT_TRUE(frame1.has_value());
+    ASSERT_TRUE(store.store(storage::cell_bucket, key0, *frame1));
+
+    const runtime::sweep_result victim = resume_from(dir.path, spec, pool);
+    EXPECT_EQ(victim.cells[0].policy, core::policy_kind::nominal);
+    expect_cell0_rebuilt(cold, victim, dir.path, spec, pool);
 }
 
 TEST(storage_store, resume_recomputes_only_the_missing_cells)
@@ -436,7 +329,7 @@ TEST(storage_store, resume_recomputes_only_the_missing_cells)
 
     EXPECT_EQ(resumed.cells_loaded, 1u);  // cell 0 restored
     EXPECT_EQ(resumed.cells_stored, 1u);  // cell 1 recomputed and re-persisted
-    EXPECT_EQ(resumed.program_computes, 0u); // artifacts still come off disk
+    EXPECT_EQ(resumed.program_computes, 1u); // cell 1 needs the pipeline again
     for (std::size_t i = 0; i < cold.cells.size(); ++i) {
         EXPECT_TRUE(same_cells(cold.cells[i], resumed.cells[i])) << "cell " << i;
     }
@@ -468,8 +361,7 @@ TEST(storage_store, resume_keys_on_the_spec_a_different_sweep_shares_nothing)
     (void)runtime::sweep_scheduler(pool, first_cache).run(spec, {store.get(), false});
 
     // Same pair, different theta ladder: every cell key changes, so resume
-    // must restore nothing (stale checkpoints cannot leak across specs) --
-    // while the program artifacts, keyed on workload alone, still hit.
+    // must restore nothing (stale checkpoints cannot leak across specs).
     runtime::sweep_spec changed = spec;
     changed.theta_multipliers = {0.25, 4.0};
     ASSERT_NE(changed.digest(), spec.digest());
@@ -482,7 +374,51 @@ TEST(storage_store, resume_keys_on_the_spec_a_different_sweep_shares_nothing)
             .run(changed, {second_store.get(), true});
     EXPECT_EQ(result.cells_loaded, 0u);
     EXPECT_EQ(result.cells_stored, 2u);
-    EXPECT_EQ(result.program_computes, 0u);
+    EXPECT_EQ(result.program_computes, 1u);
+}
+
+// -- concurrent runners sharing one store directory -------------------------
+
+TEST(storage_store, two_runners_race_on_one_store_directory)
+{
+    // Two independent runners (own pool, cache and store handle; one
+    // directory) checkpoint the same spec concurrently -- the worst case
+    // for write-back racing: both miss, both compute, both publish the same
+    // cell keys while the other may be reading them. Atomic rename makes
+    // the race benign; both must end with identical cells, and a third
+    // resume must restore every one. Run under TSan by the CI storage job.
+    temp_dir dir;
+    const runtime::sweep_spec spec = checkpoint_spec();
+
+    runtime::sweep_result results[2];
+    std::thread runners[2];
+    for (int i = 0; i < 2; ++i) {
+        runners[i] = std::thread([&, i] {
+            runtime::thread_pool pool(1);
+            runtime::experiment_cache cache;
+            storage::artifact_store store(dir.path);
+            results[i] =
+                runtime::sweep_scheduler(pool, cache).run(spec, {&store, /*resume=*/true});
+        });
+    }
+    for (std::thread& runner : runners) {
+        runner.join();
+    }
+
+    ASSERT_EQ(results[0].cells.size(), 2u);
+    ASSERT_EQ(results[1].cells.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(same_cells(results[0].cells[i], results[1].cells[i])) << "cell " << i;
+    }
+
+    // Whoever lost a publish race left fully valid entries behind.
+    runtime::thread_pool pool(1);
+    const runtime::sweep_result after = resume_from(dir.path, spec, pool);
+    EXPECT_EQ(after.cells_loaded, 2u);
+    EXPECT_EQ(after.program_computes, 0u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_TRUE(same_cells(results[0].cells[i], after.cells[i])) << "cell " << i;
+    }
 }
 
 } // namespace
